@@ -63,27 +63,12 @@ def _write(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _series_doc(s: TruncSeries) -> dict:
-    return s.to_dict()
-
-
 def _add_common(p, csv_ok=True):
     formats = ["json", "csv"] if csv_ok else ["json"]
     p.add_argument("--format", choices=formats, default="json")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--stamp", action="store_true",
                    help="attach run metadata outside the data body")
-
-
-def _cmd_morse_trace(args) -> int:
-    order = args.order if args.order is not None else normalform.default_trunc_order(args.steps)
-    a = normalform.quadratic_normal_form(order)
-    b0 = TruncSeries.monomial(3, order)
-    trace = normalform.lie_iterate_formal(a, b0, args.steps)
-    doc = trace.to_dict()
-    doc["normalizer"] = _series_doc(normalform.normalizer_series(trace))
-    _write(_emit(doc, args), args)
-    return 0
 
 
 def _cmd_normalize(args) -> int:
@@ -94,7 +79,7 @@ def _cmd_normalize(args) -> int:
     b0 = TruncSeries.monomial(args.n, order, args.beta)
     trace = normalform.lie_iterate_formal(a, b0, args.steps)
     doc = trace.to_dict()
-    doc["normalizer"] = _series_doc(normalform.normalizer_series(trace))
+    doc["normalizer"] = normalform.normalizer_series(trace).to_dict()
     _write(_emit(doc, args), args)
     return 0
 
@@ -158,9 +143,7 @@ def _cmd_prisma(args) -> int:
     traj = prisma.iterate(state, cfg, args.steps,
                           parametric=args.alpha is not None)
     doc = [st.to_dict() for st in traj]
-    ok, c_wit, rho_wit = prisma.rapid_convergence_check(
-        [float(st.x) for st in traj]
-    )
+    ok, c_wit, rho_wit = prisma.rapid_convergence_check([st.x for st in traj])
     meta = {"rapidly_convergent": ok}
     if ok:
         meta.update({"C": c_wit, "rho": rho_wit})
@@ -261,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=None,
                    help="truncation order (default 2^(steps+1)+4)")
     _add_common(p, csv_ok=False)
-    p.set_defaults(func=_cmd_morse_trace)
+    p.set_defaults(func=_cmd_normalize, n=3, beta=Fraction(1))
 
     p = sub.add_parser("normalize", help="exact trace for z^2/2 + beta z^n")
     p.add_argument("--n", type=int, default=3)

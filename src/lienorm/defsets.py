@@ -14,6 +14,8 @@ import math
 from fractions import Fraction
 from typing import Callable
 
+from .power_series import fraction_str
+
 
 class DegenerateSetError(ValueError):
     """Construction would give an empty or collapsed definition set."""
@@ -65,7 +67,7 @@ class Linear(BoundaryFn):
         return self.a * t + self.c
 
     def to_dict(self):
-        return {"op": "linear", "a": _plain(self.a), "c": _plain(self.c)}
+        return {"op": "linear", "a": fraction_str(self.a), "c": fraction_str(self.c)}
 
 
 class Power(BoundaryFn):
@@ -85,7 +87,8 @@ class Power(BoundaryFn):
         return self.gamma * float(t) ** float(self.k)
 
     def to_dict(self):
-        return {"op": "power", "gamma": _plain(self.gamma), "k": _plain(self.k)}
+        return {"op": "power", "gamma": fraction_str(self.gamma),
+                "k": fraction_str(self.k)}
 
 
 class Compose(BoundaryFn):
@@ -137,12 +140,6 @@ class CallableBoundary(BoundaryFn):
 
     def to_dict(self):
         raise UnsupportedShapeError("callable boundary has no JSON form")
-
-
-def _plain(x):
-    if isinstance(x, Fraction):
-        return "%d/%d" % (x.numerator, x.denominator)
-    return x
 
 
 def _parse_num(x):

@@ -22,7 +22,8 @@ _SLACK = 1 + 2.0**-40
 
 
 class DivergenceError(ValueError):
-    """Evaluation point is outside the radius of convergence."""
+    """A bound diverges: the evaluation point is outside the radius of
+    convergence, or a sum of normalized norms reaches 1."""
 
 
 class InconclusiveError(ValueError):

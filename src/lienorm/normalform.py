@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import prisma
+from .disc_norms import DivergenceError
 from .power_series import (
     Derivation,
     TruncSeries,
@@ -31,10 +32,6 @@ class CertificateBreachError(RuntimeError):
     def __init__(self, step, message):
         super().__init__(message)
         self.step = step
-
-
-class DivergenceError(ValueError):
-    """Composition bound diverges (sum of normalized norms >= 1)."""
 
 
 @dataclass(frozen=True)
@@ -122,6 +119,15 @@ def normalizer_series(trace: LieTrace) -> TruncSeries:
     return psi
 
 
+def _condition_rhs(lam, mu, r, n):
+    """(rho0, rhs_i, rhs_ii): the multiplier rho(t0, s0) and the right-hand
+    sides of certificate conditions i and ii."""
+    rho0 = 1 + lam - lam / mu
+    rhs_i = r * (1 - mu) / mu ** (n - 1)
+    rhs_ii = 2 * (1 - r) ** 2 * rho0 * lam**2 * (1 - mu) ** 2 / mu ** (n - 2)
+    return rho0, rhs_i, rhs_ii
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Convergence certificate for the perturbation beta * z^n of z^2/2.
@@ -165,14 +171,12 @@ class Certificate:
         if t0 <= 0:
             raise ValueError("need t0 > 0")
         object.__setattr__(self, "s0", mu * t0)
-        rho0 = 1 + lam - lam / mu
+        rho0, rhs_i, rhs_ii = _condition_rhs(lam, mu, r, n)
         object.__setattr__(self, "rho0", rho0)
         object.__setattr__(self, "C", t0**2 / (2 * (1 - r) ** 2))
         object.__setattr__(self, "R", 2 * (1 - r) ** 2 / t0**2)
         object.__setattr__(self, "t_inf", (mu - lam) / (1 - lam) * t0)
         lhs = E * beta * t0 ** (n - 2)
-        rhs_i = r * (1 - mu) / mu ** (n - 1)
-        rhs_ii = 2 * (1 - r) ** 2 * rho0 * lam**2 * (1 - mu) ** 2 / mu ** (n - 2)
         object.__setattr__(self, "cond_i", lhs <= rhs_i)
         object.__setattr__(self, "cond_ii", lhs < rhs_ii)
         object.__setattr__(self, "cond_iii", mu > lam)
@@ -217,9 +221,7 @@ def threshold_T0(lam, mu, r, beta, n) -> float:
         raise ValueError("need beta > 0")
     if n < 3:
         raise ValueError("need n >= 3")
-    rho0 = 1 + lam - lam / mu
-    rhs_i = r * (1 - mu) / mu ** (n - 1)
-    rhs_ii = 2 * (1 - r) ** 2 * rho0 * lam**2 * (1 - mu) ** 2 / mu ** (n - 2)
+    _, rhs_i, rhs_ii = _condition_rhs(lam, mu, r, n)
     return (min(rhs_i, rhs_ii) / (E * beta)) ** (1.0 / (n - 2))
 
 

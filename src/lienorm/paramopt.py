@@ -90,6 +90,13 @@ def solve_r(nu):
     return (1 + 2 * nu - math.sqrt(1 + 4 * nu)) / (2 * nu)
 
 
+def _equal_bound_r(lam, mu):
+    """The r that balances the two certificate inequalities:
+    r/(1-r)^2 = 2 rho lam^2 mu (1-mu)."""
+    rho = 1 + lam - lam / mu
+    return solve_r(2 * rho * lam**2 * mu * (1 - mu))
+
+
 def equalized_objective(lam, mu):
     """r(lam,mu) (1-mu)/mu^2 * (mu-lam)/(1-lam) with the equal-bound r.
 
@@ -97,9 +104,7 @@ def equalized_objective(lam, mu):
     value is again e*t_inf.
     """
     _check_triangle(lam, mu)
-    rho = 1 + lam - lam / mu
-    nu = 2 * rho * lam**2 * mu * (1 - mu)
-    r = solve_r(nu)
+    r = _equal_bound_r(lam, mu)
     return r * (1 - mu) / mu**2 * (mu - lam) / (1 - lam)
 
 
@@ -117,9 +122,7 @@ def certified_t_inf(n: int, lam, mu, beta=1.0):
     """(r(1-mu)/(e beta mu))^(1/(n-2)) * (mu-lam)/(mu(1-lam)) with the
     equal-bound r."""
     _check_triangle(lam, mu)
-    rho = 1 + lam - lam / mu
-    nu = 2 * rho * lam**2 * mu * (1 - mu)
-    r = solve_r(nu)
+    r = _equal_bound_r(lam, mu)
     base = r * (1 - mu) / (E * beta * mu)
     return base ** (1.0 / (n - 2)) * (mu - lam) / (mu * (1 - lam))
 
@@ -181,13 +184,15 @@ def _grid_scan(f, resolution=200):
     return best[1], best[2]
 
 
-def _maximize(f, start=None, resolution=200):
+def _maximize(f, start=None, resolution=200, xatol=1e-10):
+    """Grid scan (unless a start is given), Nelder-Mead, then Newton.
+    Returns (x, gradient norm, iterations)."""
     if start is None:
         start = _grid_scan(f, resolution)
     guarded = lambda p: (-f(p[0], p[1])
                          if 0 < p[0] < p[1] < 1 else math.inf)
     res = minimize(guarded, list(start), method="Nelder-Mead",
-                   options=dict(xatol=1e-10, fatol=1e-13,
+                   options=dict(xatol=xatol, fatol=1e-13,
                                 maxiter=10_000, maxfev=10_000))
     x, gnorm, nit = _newton_polish(f, res.x)
     return x, gnorm, res.nit + nit
@@ -208,22 +213,14 @@ def maximize_basic(start=None) -> OptResult:
 def maximize_equalized(start=None) -> OptResult:
     x, gnorm, nit = _maximize(equalized_objective, start)
     val = equalized_objective(*x)
-    rho = 1 + x[0] - x[0] / x[1]
-    r = solve_r(2 * rho * x[0] ** 2 * x[1] * (1 - x[1]))
+    r = _equal_bound_r(x[0], x[1])
     return OptResult(x[0], x[1], r, val, val / E, nit, gnorm)
 
 
 def minimize_q(n: int, start=None, resolution=120) -> QRow:
     """Per-n minimum of Q over the triangle."""
     f = lambda lam, mu: -q_value(n, lam, mu)
-    if start is None:
-        start = _grid_scan(f, resolution)
-    guarded = lambda p: (q_value(n, p[0], p[1])
-                         if 0 < p[0] < p[1] < 1 else math.inf)
-    res = minimize(guarded, list(start), method="Nelder-Mead",
-                   options=dict(xatol=1e-11, fatol=1e-13,
-                                maxiter=10_000, maxfev=10_000))
-    x, _, _ = _newton_polish(f, res.x)
+    x, _, _ = _maximize(f, start, resolution, xatol=1e-11)
     lam, mu = float(x[0]), float(x[1])
     tinf = certified_t_inf(n, lam, mu, 1.0)
     return QRow(n, lam, mu, true_radius(n, 1.0) / tinf, true_radius(n, 1.0), tinf)

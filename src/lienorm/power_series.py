@@ -50,6 +50,13 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
+def fraction_str(x):
+    """The "p/q" wire form of a Fraction; any other value passes through."""
+    if isinstance(x, Fraction):
+        return "%d/%d" % (x.numerator, x.denominator)
+    return x
+
+
 class TruncSeries:
     """A power series known modulo ``z**(trunc_order+1)``.
 
@@ -191,16 +198,7 @@ class TruncSeries:
             self.trunc_order + 1 + other._eff_order(),
             other.trunc_order + 1 + self._eff_order(),
         ) - 1
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0 or i > n:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > n:
-                    break
-                if b:
-                    out[i + j] += a * b
-        return TruncSeries(out, n)
+        return _mul_at(self, other, n)
 
     __rmul__ = __mul__
 
@@ -327,9 +325,7 @@ class TruncSeries:
     def to_dict(self) -> dict:
         return {
             "trunc_order": self.trunc_order,
-            "coeffs": [
-                "%d/%d" % (c.numerator, c.denominator) for c in self.coeffs
-            ],
+            "coeffs": [fraction_str(c) for c in self.coeffs],
         }
 
     @classmethod
@@ -397,42 +393,6 @@ class Derivation:
 
     def __repr__(self):
         return "Derivation(%r d/dz)" % (self.v,)
-
-
-def add(f: TruncSeries, g: TruncSeries) -> TruncSeries:
-    return f + g
-
-
-def mul(f: TruncSeries, g: TruncSeries) -> TruncSeries:
-    return f * g
-
-
-def compose(f: TruncSeries, g: TruncSeries) -> TruncSeries:
-    return f.compose(g)
-
-
-def invert(f: TruncSeries) -> TruncSeries:
-    return f.invert()
-
-
-def binomial_pow(f: TruncSeries, e: Scalar) -> TruncSeries:
-    return f.binomial_pow(e)
-
-
-def derivative(f: TruncSeries) -> TruncSeries:
-    return f.derivative()
-
-
-def hadamard(f: TruncSeries, g: TruncSeries) -> TruncSeries:
-    return f.hadamard(g)
-
-
-def nabla(f: TruncSeries) -> TruncSeries:
-    return f.nabla()
-
-
-def weierstrass_div_monomial(f: TruncSeries, d: int):
-    return f.weierstrass_div_monomial(d)
 
 
 def apply_derivation(v: Derivation, f: TruncSeries) -> TruncSeries:

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+
+from .power_series import fraction_str
 
 
 class LeavesDomainError(ValueError):
@@ -47,9 +49,10 @@ class PrismaState:
             raise ValueError("x must be >= 0")
 
     def to_dict(self) -> dict:
-        d = {"t": _emit(self.t), "s": _emit(self.s), "x": _emit(self.x)}
+        d = {"t": fraction_str(self.t), "s": fraction_str(self.s),
+             "x": fraction_str(self.x)}
         if self.alpha is not None:
-            d["alpha"] = _emit(self.alpha)
+            d["alpha"] = fraction_str(self.alpha)
         return d
 
 
@@ -72,14 +75,10 @@ class IterConfig:
             raise ValueError("exponent d must be >= 2")
 
 
-def _emit(x):
-    if isinstance(x, Fraction):
-        return "%d/%d" % (x.numerator, x.denominator)
-    return float(x)
-
-
 def _pow(base, e):
     """base**e staying exact for rational base and integer exponent."""
+    if isinstance(base, int):
+        base = Fraction(base)
     if isinstance(base, Fraction) and isinstance(e, int):
         return base**e
     if isinstance(base, Fraction) and isinstance(e, Fraction) and e.denominator == 1:
@@ -122,10 +121,7 @@ def param_step(state: PrismaState, cfg: IterConfig) -> PrismaState:
     """Parametric variant: fourth coordinate accumulates x."""
     if state.alpha is None:
         raise ValueError("param_step needs a state with alpha")
-    t, s, x, a = state.t, state.s, state.x, state.alpha
-    lam = cfg.lam
-    x2 = _pow(x, cfg.d) / (cfg.R * _pow(s, cfg.k) * _pow(t - s, cfg.l))
-    return PrismaState(s, s - lam * (t - s), x2, x + a)
+    return replace(step(state, cfg), alpha=state.x + state.alpha)
 
 
 def in_invariant_set(state: PrismaState, cfg: IterConfig) -> bool:
@@ -158,7 +154,7 @@ def _partial_rho_products(n: int, state0: PrismaState, cfg: IterConfig):
     """[p_0, ..., p_n] with p_i the product of rho(t_j, s_j) over j < i."""
     lam = cfg.lam
     t, s = state0.t, state0.s
-    exact = isinstance(t, Fraction) and isinstance(s, Fraction) and isinstance(lam, Fraction)
+    exact = all(isinstance(v, (int, Fraction)) for v in (t, s, lam))
     p = Fraction(1) if exact else 1.0
     out = [p]
     for _ in range(n):
@@ -284,10 +280,15 @@ def rapid_convergence_check(xs: Sequence[float],
     """
     if len(xs) == 0:
         raise ValueError("need a nonempty sequence")
-    points = [(i, abs(float(x))) for i, x in enumerate(xs) if x != 0]
+    # Decided on the values as given: float() overflows on a huge Fraction.
+    if any(abs(x) >= 1 for x in xs):
+        return False, math.nan, math.nan
+    # A value that underflows to 0.0 is skipped like a zero.
+    floats = [abs(float(x)) for x in xs]
+    points = [(i, x) for i, x in enumerate(floats) if x != 0]
     if not points:
         return True, 0.0, rho if rho else 2.0
-    if any(x >= 1 for _, x in points):
+    if any(x >= 1 for _, x in points):  # a value just below 1 can round to 1.0
         return False, math.nan, math.nan
     if rho is not None:
         if not rho > 1:

@@ -47,6 +47,14 @@ class TestMorseTrace:
         assert doc["data"] == json.loads(plain)
         assert "stamp" in doc
 
+    def test_same_output_as_normalize_cubic(self, capsys):
+        _, morse, _ = run_capture(capsys, "morse-trace", "--steps", "3",
+                                  "--order", "8")
+        _, normalize, _ = run_capture(capsys, "normalize", "--n", "3",
+                                      "--beta", "1", "--steps", "3",
+                                      "--order", "8")
+        assert morse == normalize
+
 
 class TestNormalize:
     def test_round_trip_series(self, capsys):
@@ -150,6 +158,18 @@ class TestPrisma:
         )
         doc = json.loads(out)
         assert doc["trajectory"][1]["alpha"] == "1/16"
+
+    def test_trajectory_beyond_float_range_exits_one(self, capsys):
+        # x_8 has about 1100 bits, past the largest float
+        code, out, err = run_capture(
+            capsys, "prisma", "--t", "1", "--s", "17/20", "--x", "3/2",
+            "--R", "1", "--k", "0", "--l", "1", "--lambda", "1/2",
+        )
+        assert code == 1
+        assert err == ""
+        doc = json.loads(out)
+        assert len(doc["trajectory"]) == 9
+        assert doc["diagnostics"] == {"rapidly_convergent": False}
 
 
 class TestDefset:

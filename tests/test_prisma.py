@@ -130,6 +130,17 @@ class TestClosedForm:
             assert isinstance(value, F)
             assert value == st_n.x
 
+    def test_int_inputs_stay_exact(self):
+        cfg = IterConfig(R=3, k=1, l=1, lam=F(1, 2))
+        state = PrismaState(F(4), 3, F(1, 10))
+        x1 = step(state, cfg).x
+        assert x1 == F(1, 900)
+        assert isinstance(x1, F)
+        for n, st_n in enumerate(iterate(state, cfg, 5)):
+            value = closed_form_xn(n, state, cfg)
+            assert isinstance(value, F)
+            assert value == st_n.x
+
     def test_float_state_matches_iterates(self):
         cfg = IterConfig(R=1.5, k=2, l=1, lam=0.5)
         state = PrismaState(1.0, 0.8, 0.01)
@@ -242,6 +253,8 @@ class TestRapidConvergence:
         ok, c, r = rapid_convergence_check([float(s.x) for s in traj])
         assert ok and r == pytest.approx(2.0)
         assert c < 1
+        # the exact values, x_12 below the smallest float, give the same verdict
+        assert rapid_convergence_check([s.x for s in traj]) == (ok, c, r)
 
     def test_shallow_rapid_sequence(self):
         ok, c, r = rapid_convergence_check([0.99 ** (1.2**n) for n in range(25)])
@@ -254,6 +267,9 @@ class TestRapidConvergence:
 
     def test_values_at_or_above_one_fail(self):
         ok, _, _ = rapid_convergence_check([1.0, 0.5, 0.25])
+        assert not ok
+        # beyond float range: decided without converting to float
+        ok, _, _ = rapid_convergence_check([F(1, 2), F(3, 2) ** 2000])
         assert not ok
 
     def test_empty_rejected(self):
