@@ -104,9 +104,9 @@ def _cmd_certify(args) -> int:
 
 def _cmd_threshold(args) -> int:
     t0 = normalform.threshold_T0(args.lam, args.mu, args.r, args.beta, args.n)
-    t_inf = (float(args.mu) - float(args.lam)) / (1 - float(args.lam)) * t0
-    doc = {"T0": t0, "t_inf": t_inf,
-           "lambda": float(args.lam), "mu": float(args.mu),
+    lam, mu = float(args.lam), float(args.mu)
+    doc = {"T0": t0, "t_inf": normalform.t_inf(lam, mu, t0),
+           "lambda": lam, "mu": mu,
            "r": float(args.r), "beta": float(args.beta), "n": args.n}
     _write(_emit(doc, args), args)
     return 0

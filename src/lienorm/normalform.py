@@ -128,6 +128,11 @@ def _condition_rhs(lam, mu, r, n):
     return rho0, rhs_i, rhs_ii
 
 
+def t_inf(lam, mu, t0):
+    """Radius (mu - lam)/(1 - lam) * t0 that the certified run keeps."""
+    return (mu - lam) / (1 - lam) * t0
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Convergence certificate for the perturbation beta * z^n of z^2/2.
@@ -175,7 +180,7 @@ class Certificate:
         object.__setattr__(self, "rho0", rho0)
         object.__setattr__(self, "C", t0**2 / (2 * (1 - r) ** 2))
         object.__setattr__(self, "R", 2 * (1 - r) ** 2 / t0**2)
-        object.__setattr__(self, "t_inf", (mu - lam) / (1 - lam) * t0)
+        object.__setattr__(self, "t_inf", t_inf(lam, mu, t0))
         lhs = E * beta * t0 ** (n - 2)
         object.__setattr__(self, "cond_i", lhs <= rhs_i)
         object.__setattr__(self, "cond_ii", lhs < rhs_ii)

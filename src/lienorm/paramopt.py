@@ -149,10 +149,8 @@ def _newton_polish(f, x0, tol=1e-13, iters=60):
     of the gradient."""
     x = np.array(x0, dtype=float)
     h = 1e-6
-    last_g = _complex_step_grad(f, *x)
     for it in range(iters):
         g = _complex_step_grad(f, *x)
-        last_g = g
         if np.linalg.norm(g) < tol:
             break
         hxx = (_complex_step_grad(f, x[0] + h, x[1])
@@ -169,7 +167,7 @@ def _newton_polish(f, x0, tol=1e-13, iters=60):
         if not (0 < xn[0] < xn[1] < 1):
             break
         x = xn
-    return x, float(np.linalg.norm(last_g)), it + 1
+    return x, float(np.linalg.norm(g)), it + 1
 
 
 def _grid_scan(f, resolution=200):

@@ -7,6 +7,14 @@ tightest truncation order it can certify from the truncation orders and
 leading orders of its inputs, so a claim "known modulo z^(N+1)" is always
 sound.  This makes coefficient identities testable as exact equalities.
 
+Every series product goes through one kernel, ``_raw_mul``.  It writes
+each operand as an integer vector over the least common denominator of
+its coefficients, packs each vector into one Python int with slots wide
+enough for any coefficient of the product (Kronecker substitution), does
+one big-integer multiply and reads the slots back as ``Fraction``s over
+the product of the two denominators.  Composition is a Taylor shift
+built on the same kernel (see :meth:`TruncSeries.compose`).
+
 The module also provides derivations ``v(z) d/dz`` acting on series, the
 terminating Lie exponential for derivations of order >= 2, and the
 division map sending a series ``b`` with ``b(0)=0`` to the derivation
@@ -235,7 +243,20 @@ class TruncSeries:
         )
 
     def compose(self, inner: "TruncSeries") -> "TruncSeries":
-        """self(inner), requiring inner(0) = 0."""
+        """self(inner), requiring inner(0) = 0.
+
+        A Taylor shift (Brent & Kung 1978).  With a = inner'(0) and
+        h = inner - a*z, which has order >= 2,
+
+            self(inner) = sum_k T_k(z) h^k,   T_k(z) = self^(k)(a*z) / k!;
+
+        for a near-identity inner (a = 1) this is
+        self(z + h) = sum_k self^(k)(z) h^k / k! with h = inner - z.  As
+        h^k = O(z^(k ord h)), only the terms with k*ord(h) <= n count,
+        about n/ord(h) of them, n the working order computed below.  The
+        sum is evaluated Horner-fashion in h, each partial sum only to the
+        order that its power of h leaves inside the window.
+        """
         if inner.constant_term() != 0:
             raise CompositionDomainError(
                 "inner series has nonzero constant term %s" % inner.constant_term()
@@ -246,21 +267,27 @@ class TruncSeries:
             og * (self.trunc_order + 1),
             od * og + inner.trunc_order + 1,
         ) - 1
-        out = TruncSeries.zero(n)
-        inner_n = TruncSeries(inner.coeffs, n) if inner.trunc_order < n else inner
-        for c in reversed(self.coeffs):
-            out = _mul_at(out, inner_n, n)
-            if c:
-                out = TruncSeries(
-                    (out.coeffs[0] + c,) + out.coeffs[1:], n
-                )
-        return out
+        cs = self.coeffs + (Fraction(0),) * (n - self.trunc_order)
+        a = inner.coeffs[1] if min(n, inner.trunc_order) >= 1 else Fraction(0)
+        h = [Fraction(0)] * 2 + list(inner.coeffs[2 : n + 1])
+        oh = next((k for k, c in enumerate(h) if c), n + 1)
+        apow = [a**j for j in range(n + 1)]
+        acc = []
+        for k in range(n // oh, -1, -1):
+            m = n - k * oh  # T_k + h*acc is needed modulo z^(m+1)
+            t = [cs[j + k] * math.comb(j + k, k) * apow[j] for j in range(m + 1)]
+            if acc:
+                hacc = _raw_mul(h[oh:], acc, m - oh)
+                t[oh:] = [x + y for x, y in zip(t[oh:], hacc)]
+            acc = t
+        return TruncSeries(acc, n)
 
     def invert(self) -> "TruncSeries":
         """Compositional inverse g with self(g) = z, up to the truncation.
 
-        Coefficient recursion from compose(f, g) = z; cost is cubic in the
-        truncation order, fine at desk scale.
+        Coefficient recursion from compose(f, g) = z; for truncation order
+        N it runs about N^2/2 products of length at most N + 1, fine at
+        desk scale.
         """
         if self.constant_term() != 0 or self.trunc_order < 1 or self.coeffs[1] == 0:
             raise NotInvertibleError("needs f(0) = 0 and f'(0) != 0")
@@ -347,17 +374,47 @@ class TruncSeries:
         return "TruncSeries(%s + O(z^%d))" % (body, self.trunc_order + 1)
 
 
+def _int_vector(a: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators over the least common denominator of a."""
+    d = math.lcm(*(x.denominator for x in a))
+    return [x.numerator * (d // x.denominator) for x in a], d
+
+
 def _raw_mul(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]:
-    out = [Fraction(0)] * (n + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > n:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > n:
-                break
-            if bj:
-                out[i + j] += ai * bj
-    return out
+    """Coefficients 0..n of a*b by Kronecker substitution.
+
+    a = A/da and b = B/db with integer vectors A, B.  Every coefficient of
+    A*B is at most max|A|*max|B|*min(len) in absolute value.  In slots of
+    w bits, a whole number of bytes with one bit to spare for the sign,
+    the product of the packed integers sum A_i 2^(w i) and
+    sum B_j 2^(w j) therefore holds the coefficients of A*B side by side.
+    Adding 2^(w-1) to every slot makes them all nonnegative, and the slots
+    are read back from the bytes of that sum.
+    """
+    a, b = a[: n + 1], b[: n + 1]
+    A, da = _int_vector(a)
+    B, db = _int_vector(b)
+    bound = max(map(abs, A), default=0) * max(map(abs, B), default=0)
+    if not bound:
+        return [Fraction(0)] * (n + 1)
+    nb = (bound * min(len(A), len(B))).bit_length() // 8 + 1  # bytes per slot
+    half = 1 << (8 * nb - 1)
+    size = nb * (n + 1)
+    bias = int.from_bytes(half.to_bytes(nb, "little") * (n + 1), "little")
+    c = (_pack(A, nb) * _pack(B, nb) + bias) & ((1 << (8 * size)) - 1)
+    raw = c.to_bytes(size, "little")
+    d = da * db
+    return [
+        Fraction(int.from_bytes(raw[i : i + nb], "little") - half, d)
+        for i in range(0, size, nb)
+    ]
+
+
+def _pack(v: list[int], nb: int) -> int:
+    """sum v[i] * 2^(8 nb i), for |v[i]| < 2^(8 nb)."""
+    pos = b"".join((x if x > 0 else 0).to_bytes(nb, "little") for x in v)
+    neg = b"".join((-x if x < 0 else 0).to_bytes(nb, "little") for x in v)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _mul_at(a: TruncSeries, b: TruncSeries, n: int) -> TruncSeries:

@@ -12,6 +12,7 @@ from lienorm.power_series import (
     NonTerminatingExponentialError,
     NotInvertibleError,
     TruncSeries,
+    _raw_mul,
     apply_derivation,
     j_map,
     lie_exp,
@@ -303,3 +304,98 @@ def test_weierstrass_reconstruction(f, d):
     q, p = f.weierstrass_div_monomial(d)
     rebuilt = TruncSeries.monomial(d, f.trunc_order, 1) * q + p if d else q
     assert rebuilt == f
+
+
+# -- the product and composition kernels against plain references -------
+
+# signed rationals with small and with huge numerators and denominators
+mixed_rationals = st.one_of(
+    rationals,
+    st.builds(F, st.integers(-(10**40), 10**40), st.integers(1, 10**30)),
+)
+operands = st.one_of(
+    st.lists(mixed_rationals, max_size=10),
+    st.lists(st.just(F(0)), max_size=10),
+)
+
+
+def schoolbook(a, b, n):
+    out = [F(0)] * (n + 1)
+    for i, ai in enumerate(a[: n + 1]):
+        for j, bj in enumerate(b[: n + 1 - i]):
+            out[i + j] += ai * bj
+    return out
+
+
+def horner_compose(f, g):
+    """(coeffs, trunc_order) of f(g) by Horner, at compose's working order."""
+    def eff_order(s):
+        return min(s.order, s.trunc_order + 1)
+
+    og, od = eff_order(g), eff_order(f.derivative())
+    n = min(og * (f.trunc_order + 1), od * og + g.trunc_order + 1) - 1
+    gc = list(g.coeffs[: n + 1]) + [F(0)] * (n + 1 - len(g.coeffs))
+    out = [F(0)] * (n + 1)
+    for c in reversed(f.coeffs):
+        out = schoolbook(out, gc, n)
+        out[0] += c
+    return out, n
+
+
+@given(operands, operands, st.integers(min_value=0, max_value=22))
+@settings(max_examples=200, deadline=None)
+def test_raw_mul_matches_schoolbook(a, b, n):
+    got = _raw_mul(a, b, n)
+    assert len(got) == n + 1
+    assert got == schoolbook(a, b, n)
+
+
+def _inner(order, linear, tail, m):
+    """Inner series of the given order, linear coefficient and tail,
+    truncated at m."""
+    coeffs = ([F(0), linear] if order == 1 else [F(0)] * order) + tail
+    return TruncSeries(coeffs[: m + 1], m)
+
+
+outer_series = st.lists(mixed_rationals, min_size=1, max_size=12).map(TruncSeries)
+tails = st.lists(mixed_rationals, max_size=12)
+truncs = st.integers(min_value=0, max_value=14)
+nonzero = mixed_rationals.filter(lambda x: x != 0)
+
+
+def assert_compose_matches_horner(f, g):
+    got = f.compose(g)
+    want, n = horner_compose(f, g)
+    assert got.trunc_order == n
+    assert list(got.coeffs) == want
+
+
+@given(outer_series, st.integers(min_value=2, max_value=5), tails, truncs)
+@settings(max_examples=80, deadline=None)
+def test_compose_near_identity_matches_horner(f, oh, tail, m):
+    # z + h with ord(h) >= oh
+    h = [F(0)] * oh + tail
+    assert_compose_matches_horner(f, _inner(1, F(1), h[2:], m))
+
+
+@given(outer_series, nonzero.filter(lambda x: x != 1), tails, truncs)
+@settings(max_examples=80, deadline=None)
+def test_compose_general_linear_term_matches_horner(f, a, tail, m):
+    assert_compose_matches_horner(f, _inner(1, a, tail, m))
+
+
+@given(outer_series, st.integers(min_value=2, max_value=5), tails, truncs)
+@settings(max_examples=80, deadline=None)
+def test_compose_high_order_inner_matches_horner(f, order, tail, m):
+    assert_compose_matches_horner(f, _inner(order, None, tail, m))
+
+
+@given(mixed_rationals, nonzero, tails, truncs)
+@settings(max_examples=40, deadline=None)
+def test_compose_at_working_order_zero(c, a, tail, m):
+    # a constant known modulo z, composed with an order-1 inner, has
+    # working order n = 0
+    f = TruncSeries([c], 0)
+    g = _inner(1, a, tail, m)
+    assert f.compose(g).trunc_order == 0
+    assert_compose_matches_horner(f, g)
