@@ -8,7 +8,8 @@ output is deterministic (identical invocations give identical bytes)
 unless --stamp adds run metadata outside the data body.
 
 Exit codes: 0 success, 1 failed certificate or divergent bound (the
-document is still emitted with failure detail), 2 invalid input.
+document is still emitted with failure detail), 2 invalid input or an
+--out path that cannot be written.
 """
 
 from __future__ import annotations
@@ -346,7 +347,7 @@ def run(argv=None) -> int:
     except normalform.DivergenceError as exc:
         print("divergence: %s" % exc, file=sys.stderr)
         return 1
-    except (ValueError, TypeError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

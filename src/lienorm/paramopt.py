@@ -3,10 +3,19 @@
 Two objectives: the basic one fixes r = 1/2 and maximizes the rational
 function F(lambda, mu) = e*t_inf; the equalized one first balances the
 two certificate inequalities, which pins r as a function of (lambda, mu),
-and maximizes the resulting e*t_inf.  Both optimizers are deterministic:
-a coarse grid scan, a Nelder-Mead refinement, then Newton steps on the
-complex-step gradient (the simplex alone cannot resolve the flat maximum
-to the accuracy the cubic-residual check needs).
+and maximizes the resulting e*t_inf.  Both optimizers are deterministic
+and run one pipeline (``_maximize``):
+
+1. a coarse grid scan over the triangle 0 < lambda < mu < 1, unless a
+   start is given;
+2. Nelder-Mead from the best grid point (``minimize``, a pure-Python
+   port of the simplex scipy runs, doing the same float operations, so
+   results match scipy's bit for bit without importing it);
+3. Newton steps on the complex-step gradient (the simplex alone cannot
+   resolve the flat maximum to the accuracy the cubic-residual check
+   needs).  Only this step imports numpy: its ``linalg.solve`` and
+   ``linalg.norm`` roundings reach the printed ``lambda``, ``mu`` and
+   ``grad_norm``.
 
 The certified domain radius is compared against the true inversion
 radius R(n, beta); their ratio Q is minimized per n to reproduce the
@@ -16,11 +25,11 @@ reference table.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
+import statistics
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.optimize import minimize
 
 E = math.e
 
@@ -121,6 +130,8 @@ def true_radius(n: int, beta) -> float:
 def certified_t_inf(n: int, lam, mu, beta=1.0):
     """(r(1-mu)/(e beta mu))^(1/(n-2)) * (mu-lam)/(mu(1-lam)) with the
     equal-bound r."""
+    if n < 3:
+        raise ValueError("need n >= 3")
     _check_triangle(lam, mu)
     r = _equal_bound_r(lam, mu)
     base = r * (1 - mu) / (E * beta * mu)
@@ -138,25 +149,113 @@ def q_value(n: int, lam, mu):
 # -- deterministic maximization ----------------------------------------
 
 
+@dataclass(frozen=True)
+class SimplexResult:
+    x: list[float]  # best vertex
+    nit: int        # iterations, counted from 1 as scipy does
+    nfev: int       # objective evaluations
+
+
+class _OutOfEvaluations(Exception):
+    pass
+
+
+def _by_value(fsim, sim):
+    """Vertices sorted stably by value, NaN last (numpy's argsort order)."""
+    order = sorted(range(len(fsim)), key=lambda i: (math.isnan(fsim[i]), fsim[i]))
+    return [fsim[i] for i in order], [sim[i] for i in order]
+
+
+def minimize(fun, x0, *, xatol, fatol, maxiter, maxfev) -> SimplexResult:
+    """Minimize fun(x) by the Nelder-Mead simplex (Nelder & Mead 1965,
+    Comput. J. 7:308).
+
+    A port of the non-adaptive method scipy.optimize.minimize runs for
+    method="Nelder-Mead" (scipy 1.17, no bounds, default start simplex),
+    doing the same float operations in the same order, so x, nit and
+    nfev are scipy's to the bit.  Coefficients: reflection 1, expansion
+    2, contraction 1/2, shrink 1/2.  Stops when every coordinate of
+    every vertex is within xatol of the best one and every value within
+    fatol of the best value (never on NaN), or when the evaluation or
+    iteration budget is spent.
+    """
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _OutOfEvaluations
+        nfev += 1
+        return fun(x)
+
+    x0 = [float(v) for v in x0]
+    n = len(x0)
+    sim = [x0] + [x0[:k] + [1.05 * v if v != 0 else 0.00025] + x0[k + 1:]
+                  for k, v in enumerate(x0)]
+    fsim = [math.inf] * (n + 1)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _OutOfEvaluations:
+        pass
+    fsim, sim = _by_value(fsim, sim)
+    nit = 1
+    while nfev < maxfev and nit < maxiter:
+        best, worst = sim[0], sim[-1]
+        if (all(abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best))
+                and all(abs(fsim[0] - v) <= fatol for v in fsim[1:])):
+            break
+        try:
+            # summed in vertex order, as numpy reduces along axis 0
+            xbar = [functools.reduce(operator.add, c) / n for c in zip(*sim[:-1])]
+            xr = [2 * c - w for c, w in zip(xbar, worst)]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = [3 * c - 2 * w for c, w in zip(xbar, worst)]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # contract outside
+                    xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                else:  # contract inside
+                    xc = [0.5 * c + 0.5 * w for c, w in zip(xbar, worst)]
+                    fxc = f(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = [b + 0.5 * (v - b) for v, b in zip(sim[j], best)]
+                        fsim[j] = f(sim[j])
+            nit += 1
+        except _OutOfEvaluations:
+            pass
+        fsim, sim = _by_value(fsim, sim)
+    return SimplexResult(sim[0], nit, nfev)
+
+
 def _complex_step_grad(f, lam, mu, h=1e-20):
-    gl = f(complex(lam, h), mu).imag / h
-    gm = f(lam, complex(mu, h)).imag / h
-    return np.array([gl, gm])
+    return f(complex(lam, h), mu).imag / h, f(lam, complex(mu, h)).imag / h
 
 
 def _newton_polish(f, x0, tol=1e-13, iters=60):
     """Newton on the complex-step gradient; Hessian by central differences
     of the gradient."""
+    import numpy as np
+
+    grad = lambda lam, mu: np.array(_complex_step_grad(f, lam, mu))
     x = np.array(x0, dtype=float)
     h = 1e-6
     for it in range(iters):
-        g = _complex_step_grad(f, *x)
+        g = grad(*x)
         if np.linalg.norm(g) < tol:
             break
-        hxx = (_complex_step_grad(f, x[0] + h, x[1])
-               - _complex_step_grad(f, x[0] - h, x[1])) / (2 * h)
-        hyy = (_complex_step_grad(f, x[0], x[1] + h)
-               - _complex_step_grad(f, x[0], x[1] - h)) / (2 * h)
+        hxx = (grad(x[0] + h, x[1]) - grad(x[0] - h, x[1])) / (2 * h)
+        hyy = (grad(x[0], x[1] + h) - grad(x[0], x[1] - h)) / (2 * h)
         hess = np.array([hxx, hyy]).T
         hess = (hess + hess.T) / 2
         try:
@@ -170,10 +269,16 @@ def _newton_polish(f, x0, tol=1e-13, iters=60):
     return x, float(np.linalg.norm(g)), it + 1
 
 
+def _linspace(start, stop, num):
+    """np.linspace(start, stop, num) to the bit: start + i*step, then stop."""
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [stop]
+
+
 def _grid_scan(f, resolution=200):
     best = None
-    for lam in np.linspace(1e-3, 0.999, resolution):
-        for mu in np.linspace(lam + 1e-3, 0.999, resolution):
+    for lam in _linspace(1e-3, 0.999, resolution):
+        for mu in _linspace(lam + 1e-3, 0.999, resolution):
             if not 0 < lam < mu < 1:
                 continue
             val = f(lam, mu)
@@ -189,9 +294,8 @@ def _maximize(f, start=None, resolution=200, xatol=1e-10):
         start = _grid_scan(f, resolution)
     guarded = lambda p: (-f(p[0], p[1])
                          if 0 < p[0] < p[1] < 1 else math.inf)
-    res = minimize(guarded, list(start), method="Nelder-Mead",
-                   options=dict(xatol=xatol, fatol=1e-13,
-                                maxiter=10_000, maxfev=10_000))
+    res = minimize(guarded, start, xatol=xatol, fatol=1e-13,
+                   maxiter=10_000, maxfev=10_000)
     x, gnorm, nit = _newton_polish(f, res.x)
     return x, gnorm, res.nit + nit
 
@@ -217,6 +321,8 @@ def maximize_equalized(start=None) -> OptResult:
 
 def minimize_q(n: int, start=None, resolution=120) -> QRow:
     """Per-n minimum of Q over the triangle."""
+    if n < 3:
+        raise ValueError("need n >= 3")
     f = lambda lam, mu: -q_value(n, lam, mu)
     x, _, _ = _maximize(f, start, resolution, xatol=1e-11)
     lam, mu = float(x[0]), float(x[1])
@@ -275,4 +381,4 @@ def radius_oracle_series(n: int, beta, terms: int = 200) -> float:
     for i in range(len(ms) - tail, len(ms) - 1):
         m1, m2 = ms[i], ms[i + 1]
         extrapolated.append((m2 * roots[i + 1] - m1 * roots[i]) / (m2 - m1))
-    return float(np.median(extrapolated))
+    return statistics.median(extrapolated)

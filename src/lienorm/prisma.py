@@ -15,8 +15,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .power_series import fraction_str
 
 
@@ -304,6 +302,9 @@ def rapid_convergence_check(xs: Sequence[float],
     tail = ratios[len(ratios) // 2 :]
     if min(tail) < 1.12 or statistics.median(tail) < 1.15:
         return False, math.nan, math.nan
+    # numpy only here: the lstsq rounding reaches the reported rho
+    import numpy as np
+
     ys = [math.log(-math.log(x)) for _, x in points]
     ns = [i for i, _ in points]
     a_mat = np.vstack([np.ones(len(ns)), ns]).T

@@ -264,3 +264,18 @@ class TestExitCodes:
         code = run(["threshold", "--out", str(target)])
         assert code == 0
         assert json.loads(target.read_text())["T0"] > 0
+
+    @pytest.mark.parametrize("n", ["2", "1", "0"])
+    def test_qtable_small_n_is_exit_two(self, capsys, n):
+        code, out, err = run_capture(capsys, "qtable", "--n", n)
+        assert code == 2
+        assert err.startswith("error: need n >= 3")
+        assert out == ""
+
+    def test_unwritable_output_is_exit_two(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_capture(capsys, "norms", "borel", "--out", str(target))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert out == ""
+        assert not target.exists()

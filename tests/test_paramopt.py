@@ -1,9 +1,12 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
-import numpy as np
 import pytest
 
+from lienorm import paramopt
 from lienorm.normalform import threshold_T0
 from lienorm.paramopt import (
     F_basic,
@@ -11,6 +14,7 @@ from lienorm.paramopt import (
     equalized_objective,
     maximize_basic,
     maximize_equalized,
+    minimize,
     minimize_q,
     q_table,
     q_value,
@@ -135,6 +139,11 @@ class TestTrueRadius:
         with pytest.raises(ValueError):
             true_radius(2, 1)
 
+    def test_certified_t_inf_rejects_small_n(self):
+        for n in (0, 1, 2):
+            with pytest.raises(ValueError, match="need n >= 3"):
+                certified_t_inf(n, 0.4, 0.6)
+
 
 class TestQValue:
     def test_reported_ratio(self):
@@ -190,6 +199,80 @@ class TestQTable:
 
     def test_limit_towards_one(self):
         assert minimize_q(400).Q < 1.02
+
+    def test_small_n_rejected_before_the_scan(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("grid scan ran")
+        monkeypatch.setattr(paramopt, "_grid_scan", no_scan)
+        for n in (0, 1, 2):
+            with pytest.raises(ValueError, match="need n >= 3"):
+                minimize_q(n)
+
+
+def _rosenbrock(x):
+    return sum(100 * (b - a * a) ** 2 + (1 - a) ** 2 for a, b in zip(x, x[1:]))
+
+
+def _maximizing(f):
+    """The guarded objective paramopt hands to the simplex for max f."""
+    return lambda p: -f(p[0], p[1]) if 0 < p[0] < p[1] < 1 else math.inf
+
+
+def _nan_beyond(x):
+    return math.nan if x[0] > 1.25 else _rosenbrock(x)
+
+
+def _q_for(n):
+    return lambda lam, mu: -q_value(n, lam, mu)
+
+
+# the options _maximize passes; minimize_q tightens xatol to 1e-11
+TIGHT = dict(xatol=1e-10, fatol=1e-13, maxiter=10_000, maxfev=10_000)
+Q_TIGHT = dict(TIGHT, xatol=1e-11)
+
+PORT_CASES = [
+    # triangle objectives: vertices outside return inf and tie
+    (_maximizing(F_basic), (0.3, 0.3001), TIGHT),
+    (_maximizing(F_basic), (0.5, 0.99), TIGHT),
+    (_maximizing(F_basic), (0.12, 0.81), TIGHT),
+    (_maximizing(equalized_objective), (0.6, 0.62), TIGHT),
+    (_maximizing(equalized_objective), (0.955, 0.96), TIGHT),
+    (_maximizing(equalized_objective), (0.05, 0.96), TIGHT),
+    (_maximizing(_q_for(3)), (0.3, 0.97), Q_TIGHT),
+    (_maximizing(_q_for(7)), (0.2, 0.4), Q_TIGHT),
+    (_maximizing(_q_for(50)), (0.01, 0.99), Q_TIGHT),
+    (_rosenbrock, (-1.2, 1.0), TIGHT),
+    (_rosenbrock, (0, 0.5), TIGHT),            # zero coordinate: 0.00025 step
+    (_rosenbrock, (0.0, 0.0), TIGHT),
+    (_rosenbrock, (-1.0, 0.5, 2.0), TIGHT),    # three dimensions
+    (_nan_beyond, (1.2, 1.0), TIGHT),          # NaN values sort last
+    # flat: shrinks until the vertices coincide, then stops at xatol = 0
+    (lambda x: 1.0, (0.5, 0.5), dict(TIGHT, xatol=0.0, fatol=0.0)),
+    (_rosenbrock, (-1.2, 1.0), dict(TIGHT, maxiter=7)),
+    (_rosenbrock, (-1.2, 1.0), dict(TIGHT, maxfev=25)),
+    (_rosenbrock, (-1.2, 1.0), dict(TIGHT, maxfev=2)),   # budget spent on the start
+]
+
+
+@pytest.mark.parametrize("fun, x0, opts", PORT_CASES)
+def test_nelder_mead_port_matches_scipy(fun, x0, opts):
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    ref = scipy_optimize.minimize(fun, list(x0), method="Nelder-Mead", options=opts)
+    got = minimize(fun, x0, **opts)
+    assert [v.hex() for v in got.x] == [float(v).hex() for v in ref.x]
+    assert (got.nit, got.nfev) == (ref.nit, ref.nfev)
+
+
+def test_start_up_imports_neither_scipy_nor_numpy():
+    src = os.path.dirname(os.path.dirname(paramopt.__file__))
+    code = ("import sys, lienorm, lienorm.cli\n"
+            "print('scipy' in sys.modules, 'numpy' in sys.modules)\n"
+            "lienorm.maximize_basic()\n"
+            "print('scipy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False", "False", "False"]
 
 
 class TestConsistencyWithCertificates:
