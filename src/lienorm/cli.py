@@ -39,19 +39,16 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _emit(document, args, rows=None, header=None) -> str:
-    """Render the document as JSON or CSV per the output flags."""
+def _emit(document, args, table=None) -> str:
+    """Render the document as JSON, or its table (header row first) as
+    CSV; only subcommands that return a table accept --format csv."""
     if args.format == "json":
-        if getattr(args, "stamp", False):
+        if args.stamp:
             document = {"data": document, "stamp": {"tool": "lienorm"}}
         return json.dumps(document, indent=2, sort_keys=True) + "\n"
-    if rows is None:
-        raise SystemExit("csv output is not available for this subcommand")
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    if getattr(args, "stamp", False):
+    csv.writer(buf, lineterminator="\n").writerows(table)
+    if args.stamp:
         buf.write("# stamp: lienorm\n")
     return buf.getvalue()
 
@@ -72,7 +69,7 @@ def _add_common(p, csv_ok=True):
                    help="attach run metadata outside the data body")
 
 
-def _cmd_normalize(args) -> int:
+def _cmd_normalize(args):
     order = args.order if args.order is not None else normalform.default_trunc_order(args.steps)
     if args.n > order:
         raise ValueError("perturbation exponent %d exceeds order %d" % (args.n, order))
@@ -81,11 +78,10 @@ def _cmd_normalize(args) -> int:
     trace = normalform.lie_iterate_formal(a, b0, args.steps)
     doc = trace.to_dict()
     doc["normalizer"] = normalform.normalizer_series(trace).to_dict()
-    _write(_emit(doc, args), args)
-    return 0
+    return doc, 0
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args):
     cert = normalform.certify(args.t0, args.lam, args.mu, args.r,
                               args.beta, args.n)
     doc = cert.to_dict()
@@ -99,47 +95,38 @@ def _cmd_certify(args) -> int:
         except normalform.CertificateBreachError as exc:
             doc["breach"] = {"step": exc.step, "detail": str(exc)}
             code = 1
-    _write(_emit(doc, args), args)
-    return code
+    return doc, code
 
 
-def _cmd_threshold(args) -> int:
+def _cmd_threshold(args):
     t0 = normalform.threshold_T0(args.lam, args.mu, args.r, args.beta, args.n)
     lam, mu = float(args.lam), float(args.mu)
     doc = {"T0": t0, "t_inf": normalform.t_inf(lam, mu, t0),
            "lambda": lam, "mu": mu,
            "r": float(args.r), "beta": float(args.beta), "n": args.n}
-    _write(_emit(doc, args), args)
-    return 0
+    return doc, 0
 
 
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args):
     if args.mode == "basic":
         res = paramopt.maximize_basic()
     else:
         res = paramopt.maximize_equalized()
-    _write(_emit(res.to_dict(), args), args)
-    return 0
+    return res.to_dict(), 0
 
 
-def _cmd_qtable(args) -> int:
+def _cmd_qtable(args):
     rows = paramopt.q_table(args.n)
-    header = ["n", "lambda", "mu", "Q", "true_radius", "t_inf"]
-    csv_rows = [
+    table = [["n", "lambda", "mu", "Q", "true_radius", "t_inf"]] + [
         [r.n, repr(r.lam), repr(r.mu), "%.3f" % r.Q,
          repr(r.true_radius), repr(r.certified_t_inf)]
         for r in rows
     ]
-    doc = [r.to_dict() for r in rows]
-    _write(_emit(doc, args, rows=csv_rows, header=header), args)
-    return 0
+    return [r.to_dict() for r in rows], 0, table
 
 
-def _cmd_prisma(args) -> int:
-    state = prisma.PrismaState(
-        args.t, args.s, args.x,
-        args.alpha if args.alpha is not None else None,
-    )
+def _cmd_prisma(args):
+    state = prisma.PrismaState(args.t, args.s, args.x, args.alpha)
     cfg = prisma.IterConfig(R=args.R, k=args.k, l=args.l, lam=args.lam)
     traj = prisma.iterate(state, cfg, args.steps,
                           parametric=args.alpha is not None)
@@ -148,8 +135,7 @@ def _cmd_prisma(args) -> int:
     meta = {"rapidly_convergent": ok}
     if ok:
         meta.update({"C": c_wit, "rho": rho_wit})
-    _write(_emit({"trajectory": doc, "diagnostics": meta}, args), args)
-    return 0 if ok else 1
+    return {"trajectory": doc, "diagnostics": meta}, 0 if ok else 1
 
 
 def _parse_boundary(text: str) -> defsets.DefSet:
@@ -160,45 +146,38 @@ def _parse_boundary(text: str) -> defsets.DefSet:
     return defsets.DefSet(defsets.boundary_from_dict(json.loads(text)))
 
 
-def _cmd_defset(args) -> int:
+def _cmd_defset(args):
     A = _parse_boundary(args.set)
     if args.action == "contains":
         if args.t is None or args.s is None:
             raise ValueError("contains needs --t and --s")
         ok = A.contains(float(args.t), float(args.s))
-        _write(_emit({"contains": ok, "t": float(args.t), "s": float(args.s)},
-                     args), args)
-        return 0
+        return {"contains": ok, "t": float(args.t), "s": float(args.s)}, 0
     if args.action == "convolve":
         if args.other is None:
             raise ValueError("convolve needs --other")
         B = _parse_boundary(args.other)
-        _write(_emit(defsets.convolve(A, B).to_dict(), args), args)
-        return 0
+        return defsets.convolve(A, B).to_dict(), 0
     # idempotent check on a uniform grid
     n = args.grid
     pts = [((i + 1) / n, (j + 1) / n)
            for i in range(n) for j in range(n)]
     ok = A.is_idempotent_on_grid(pts)
-    _write(_emit({"idempotent_on_grid": ok, "grid": n}, args), args)
-    return 0
+    return {"idempotent_on_grid": ok, "grid": n}, 0
 
 
-def _cmd_norms(args) -> int:
+def _cmd_norms(args):
     if args.check == "nagumo":
         coeffs = [Fraction(c) for c in args.coeffs.split(",")]
         f = TruncSeries(coeffs)
         ok = disc_norms.nagumo_check(f, args.k, args.t, args.s)
-        _write(_emit({"nagumo_holds": ok}, args), args)
-        return 0
+        return {"nagumo_holds": ok}, 0
     if args.check == "borel":
         try:
             val = disc_norms.geometric_borel_bound(float(args.x))
         except disc_norms.DivergenceError as exc:
-            _write(_emit({"error": str(exc), "x": float(args.x)}, args), args)
-            return 1
-        _write(_emit({"bound": val, "x": float(args.x)}, args), args)
-        return 0
+            return {"error": str(exc), "x": float(args.x)}, 1
+        return {"bound": val, "x": float(args.x)}, 0
     # lambda-p on geometric weights over a uniform grid
     lam = disc_norms.WeightSequence("geometric")
     mu = disc_norms.WeightSequence("geometric", a=args.mu_power)
@@ -207,15 +186,14 @@ def _cmd_norms(args) -> int:
             for i in range(n) for j in range(n)]
     grid = [(s, t) for s, t in grid if 0 < s < t <= 1]
     ok = disc_norms.lambda_p_check(lam, mu, args.p, args.alpha, args.C, grid)
-    _write(_emit({"lambda_p_holds": ok, "points": len(grid)}, args), args)
-    return 0
+    return {"lambda_p_holds": ok, "points": len(grid)}, 0
 
 
-def _cmd_plot_grid(args) -> int:
+def _cmd_plot_grid(args):
     if args.resolution < 2:
         raise ValueError("resolution must be >= 2")
     f = paramopt.F_basic if args.objective == "basic" else paramopt.equalized_objective
-    rows = []
+    table = [["lambda", "mu", "value"]]
     values = []
     for i in range(args.resolution):
         lam = (i + 1) / (args.resolution + 1)
@@ -223,14 +201,12 @@ def _cmd_plot_grid(args) -> int:
             mu = (j + 1) / (args.resolution + 1)
             if 0 < lam < mu < 1:
                 val = f(lam, mu)
-                rows.append([repr(lam), repr(mu), repr(val)])
+                table.append([repr(lam), repr(mu), repr(val)])
                 values.append({"lambda": lam, "mu": mu, "value": val})
             else:
-                rows.append([repr(lam), repr(mu), ""])
+                table.append([repr(lam), repr(mu), ""])
                 values.append({"lambda": lam, "mu": mu, "value": None})
-    _write(_emit(values, args, rows=rows, header=["lambda", "mu", "value"]),
-           args)
-    return 0
+    return values, 0, table
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,7 +319,10 @@ def run(argv=None) -> int:
         # argparse exits 2 on bad flags; normalize other parser exits
         return int(exc.code) if exc.code is not None else 2
     try:
-        return args.func(args)
+        # a subcommand returns (document, exit code), plus its CSV table
+        doc, code, *table = args.func(args)
+        _write(_emit(doc, args, *table), args)
+        return code
     except normalform.DivergenceError as exc:
         print("divergence: %s" % exc, file=sys.stderr)
         return 1

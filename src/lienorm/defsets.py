@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Callable
 
-from .power_series import fraction_str
+from .power_series import fraction_str, num
 
 
 class DegenerateSetError(ValueError):
@@ -166,23 +166,12 @@ def _compose_boundaries(outer: BoundaryFn, inner: BoundaryFn) -> BoundaryFn:
     if isinstance(outer, Linear) and isinstance(inner, Linear):
         return Linear(outer.a * inner.a, outer.a * inner.c + outer.c)
     if isinstance(outer, Power) and isinstance(inner, Power):
-        return Power(outer.gamma * inner.gamma ** _as_float(outer.k),
-                     _mul_exp(outer.k, inner.k))
+        return Power(outer.gamma * inner.gamma**outer.k, num(outer.k) * num(inner.k))
     if isinstance(outer, Linear) and isinstance(inner, Power) and outer.c == 0:
         return Power(outer.a * inner.gamma, inner.k)
     if isinstance(outer, Power) and isinstance(inner, Linear) and inner.c == 0:
-        return Power(outer.gamma * inner.a ** _as_float(outer.k), outer.k)
+        return Power(outer.gamma * inner.a**outer.k, outer.k)
     return Compose(outer, inner)
-
-
-def _as_float(k):
-    return float(k) if not isinstance(k, (int, Fraction)) else k
-
-
-def _mul_exp(a, b):
-    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-        return Fraction(a) * Fraction(b)
-    return float(a) * float(b)
 
 
 class DefSet:
@@ -222,9 +211,7 @@ class DefSet:
         """A_alpha = {alpha*s < t}, boundary t/alpha."""
         if alpha <= 0:
             raise ValueError("cone needs alpha > 0")
-        return cls(Linear(Fraction(1, 1) / Fraction(alpha)
-                          if isinstance(alpha, (int, Fraction)) else 1.0 / alpha, 0),
-                   S=S)
+        return cls(Linear(1 / num(alpha), 0), S=S)
 
     @classmethod
     def translation(cls, lam, S: float = 1.0) -> "DefSet":
@@ -327,8 +314,7 @@ def defset_of_exponential(norm_fn, S: float = 1.0) -> DefSet:
             raise DegenerateSetError("norm slope %s >= 1 leaves no domain" % (c1,))
         if c1 == 0:
             return defset_of_exponential(c0, S)
-        slope = (1 - Fraction(c1)) if isinstance(c1, (int, Fraction)) else 1.0 - c1
-        return DefSet(Linear(slope, -c0), S=S)
+        return DefSet(Linear(1 - num(c1), -c0), S=S)
     if callable(norm_fn):
         return DefSet(CallableBoundary(lambda t: t - norm_fn(t)), S=S)
     raise UnsupportedShapeError("cannot interpret norm description %r" % (norm_fn,))
@@ -338,17 +324,10 @@ def defset_of_product(alphas, S: float = 1.0) -> DefSet:
     """{s < prod(1 - alpha_i) t}, where an infinite composition of
     exponentials with ||u_i|| <= alpha_i t converges."""
     prod = Fraction(1)
-    exact = True
     for a in alphas:
         if not 0 <= a < 1:
             raise DegenerateSetError("factors need alpha in [0, 1), got %s" % (a,))
-        if isinstance(a, (int, Fraction)):
-            prod *= 1 - Fraction(a)
-        else:
-            exact = False
-            prod = float(prod) * (1.0 - a)
-    if not exact:
-        prod = float(prod)
+        prod *= 1 - num(a)
     return DefSet(Linear(prod, 0), S=S)
 
 

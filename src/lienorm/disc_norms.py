@@ -168,18 +168,12 @@ class LocalOpBound:
         return cls(d["C"], d["k"], d["l"])
 
 
-def _pow00(base, e):
-    """base**e with the 0**0 = 1 convention."""
-    if e == 0:
-        return 1.0
-    return float(base) ** float(e)
-
-
 def compose_local_bounds(b1: LocalOpBound, b2: LocalOpBound) -> LocalOpBound:
     """Bound for the composition: pole orders add, constants pick up
-    l^l / (l1^l1 l2^l2)."""
+    l^l / (l1^l1 l2^l2), with 0^0 = 1 (as float 0.0 ** 0.0 is)."""
     l = b1.l + b2.l
-    factor = _pow00(l, l) / (_pow00(b1.l, b1.l) * _pow00(b2.l, b2.l))
+    lf, l1, l2 = float(l), float(b1.l), float(b2.l)
+    factor = lf**lf / (l1**l1 * l2**l2)
     return LocalOpBound(factor * b1.C * b2.C, b1.k + b2.k, l)
 
 

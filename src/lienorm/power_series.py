@@ -19,6 +19,15 @@ The module also provides derivations ``v(z) d/dz`` acting on series, the
 terminating Lie exponential for derivations of order >= 2, and the
 division map sending a series ``b`` with ``b(0)=0`` to the derivation
 ``(b/z) d/dz``.
+
+Two number rules live here.  Series coefficients must be exact:
+``_frac`` turns ints and ``"p/q"`` strings into ``Fraction`` and
+rejects floats.  Scalar data outside the series layer follow :func:`num`:
+an int or ``Fraction`` becomes an exact ``Fraction`` and anything else a
+float.  Callers apply ``num`` once where a value enters; after that
+Python's own arithmetic keeps rationals exact and lets any float make
+the result a float (``Fraction ** int`` stays exact, a fractional
+exponent gives a float).
 """
 
 from __future__ import annotations
@@ -56,6 +65,15 @@ def _frac(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("coefficients must be exact rationals, got float %r" % x)
     return Fraction(x)
+
+
+def num(x):
+    """The scalar rule: int/Fraction as an exact Fraction, float otherwise."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    return float(x)
 
 
 def fraction_str(x):

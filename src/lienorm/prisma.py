@@ -2,9 +2,14 @@
 
 The state space is the prisma {t > s > 0} x R+.  The base map contracts
 the pair (t, s) toward the diagonal; the full map squares the third
-coordinate against a pole factor.  Everything here works in exact
-rational arithmetic whenever the inputs are rational and the pole orders
-are integers, so the closed forms can be asserted as exact equalities.
+coordinate against a pole factor.  Values enter through
+:func:`lienorm.power_series.num`: ``PrismaState`` coerces its
+coordinates and ``base_step`` and ``t_infinity`` their arguments, so an
+int or ``Fraction`` is held as a ``Fraction`` and anything else as a
+float.  From there plain arithmetic keeps everything exact whenever the
+data are rational and the pole orders are integers, so the closed forms
+can be asserted as exact equalities; one float operand, or a fractional
+pole order, makes the result a float.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .power_series import fraction_str
+from .power_series import fraction_str, num
 
 
 class LeavesDomainError(ValueError):
@@ -26,13 +31,6 @@ class NonpositiveLimitError(ValueError):
     """t_infinity would be <= 0 (needs s0 > lambda*t0)."""
 
 
-def _num(x):
-    """Exact passthrough for int/Fraction, float otherwise."""
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    return float(x)
-
-
 @dataclass(frozen=True)
 class PrismaState:
     t: object
@@ -41,6 +39,10 @@ class PrismaState:
     alpha: object | None = None
 
     def __post_init__(self):
+        for name in ("t", "s", "x", "alpha"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, num(value))
         if not (self.t > self.s > 0):
             raise ValueError("prisma needs t > s > 0, got t=%s s=%s" % (self.t, self.s))
         if self.x < 0:
@@ -73,20 +75,9 @@ class IterConfig:
             raise ValueError("exponent d must be >= 2")
 
 
-def _pow(base, e):
-    """base**e staying exact for rational base and integer exponent."""
-    if isinstance(base, int):
-        base = Fraction(base)
-    if isinstance(base, Fraction) and isinstance(e, int):
-        return base**e
-    if isinstance(base, Fraction) and isinstance(e, Fraction) and e.denominator == 1:
-        return base ** int(e)
-    return float(base) ** float(e)
-
-
 def base_step(t, s, lam):
     """One step of (t, s) -> (s, s - lam*(t - s)); needs t > s > lam*t."""
-    t, s, lam = _num(t), _num(s), _num(lam)
+    t, s, lam = num(t), num(s), num(lam)
     if not t > s > 0:
         raise ValueError("need t > s > 0")
     if s <= lam * t:
@@ -96,7 +87,7 @@ def base_step(t, s, lam):
 
 def t_infinity(t0, s0, lam):
     """Limit of the base iteration, (s0 - lam*t0) / (1 - lam)."""
-    t0, s0, lam = _num(t0), _num(s0), _num(lam)
+    t0, s0, lam = num(t0), num(s0), num(lam)
     if s0 <= lam * t0 and s0 != t0:
         raise NonpositiveLimitError("needs s0 > lambda*t0")
     return (s0 - lam * t0) / (1 - lam)
@@ -111,7 +102,7 @@ def step(state: PrismaState, cfg: IterConfig) -> PrismaState:
     """(t,s,x) -> (s, s - lam*(t-s), x^d / (R s^k (t-s)^l))."""
     t, s, x = state.t, state.s, state.x
     lam = cfg.lam
-    x2 = _pow(x, cfg.d) / (cfg.R * _pow(s, cfg.k) * _pow(t - s, cfg.l))
+    x2 = x**cfg.d / (cfg.R * s**cfg.k * (t - s) ** cfg.l)
     return PrismaState(s, s - lam * (t - s), x2, state.alpha)
 
 
@@ -128,13 +119,7 @@ def in_invariant_set(state: PrismaState, cfg: IterConfig) -> bool:
     lam = cfg.lam
     if not s > lam * t:
         return False
-    bound = (
-        cfg.R
-        * _pow(rho(t, s, lam), cfg.k)
-        * _pow(s, cfg.k)
-        * _pow(lam, cfg.l)
-        * _pow(t - s, cfg.l)
-    )
+    bound = cfg.R * rho(t, s, lam) ** cfg.k * s**cfg.k * lam**cfg.l * (t - s) ** cfg.l
     return x < bound
 
 
@@ -152,8 +137,7 @@ def _partial_rho_products(n: int, state0: PrismaState, cfg: IterConfig):
     """[p_0, ..., p_n] with p_i the product of rho(t_j, s_j) over j < i."""
     lam = cfg.lam
     t, s = state0.t, state0.s
-    exact = all(isinstance(v, (int, Fraction)) for v in (t, s, lam))
-    p = Fraction(1) if exact else 1.0
+    p = rho(t, s, lam) ** 0  # the empty product, exact iff t, s and lam are
     out = [p]
     for _ in range(n):
         p = p * rho(t, s, lam)
@@ -186,19 +170,14 @@ def closed_form_xn(n: int, state0: PrismaState, cfg: IterConfig):
     if n < 0:
         raise ValueError("n must be >= 0")
     lam = cfg.lam
-    K = (
-        cfg.R
-        * _pow(state0.s, cfg.k)
-        * _pow(lam, cfg.l)
-        * _pow(state0.t - state0.s, cfg.l)
-    )
+    K = cfg.R * state0.s**cfg.k * lam**cfg.l * (state0.t - state0.s) ** cfg.l
     q = state0.x / K
     if cfg.k == 0:
-        q = _pow(q, 2**n)
+        q = q ** (2**n)
     else:
         for p in _partial_rho_products(n, state0, cfg)[:-1]:
-            q = _pow(q, 2) / _pow(p, cfg.k)
-    return K * _pow(lam, cfg.l * n) * q
+            q = q**2 / p**cfg.k
+    return K * lam ** (cfg.l * n) * q
 
 
 def closed_form_xn_bound(n: int, state0: PrismaState, cfg: IterConfig):
@@ -216,14 +195,9 @@ def closed_form_xn_bound(n: int, state0: PrismaState, cfg: IterConfig):
         raise ValueError("n must be >= 0")
     lam = cfg.lam
     p_n = _partial_rho_products(n, state0, cfg)[-1]
-    K_n = (
-        cfg.R
-        * _pow(p_n, cfg.k)
-        * _pow(state0.s, cfg.k)
-        * _pow(lam, cfg.l)
-        * _pow(state0.t - state0.s, cfg.l)
-    )
-    return K_n * _pow(state0.x / K_n, 2**n) * _pow(lam, cfg.l * n)
+    K_n = (cfg.R * p_n**cfg.k * state0.s**cfg.k * lam**cfg.l
+           * (state0.t - state0.s) ** cfg.l)
+    return K_n * (state0.x / K_n) ** (2**n) * lam ** (cfg.l * n)
 
 
 def _tail_ratios(points: Sequence[tuple[int, float]]) -> list[float]:
@@ -271,7 +245,9 @@ def rapid_convergence_check(xs: Sequence[float],
     limit strictly below 1, which rejects polynomial and plain geometric
     decay; the practical search window is rho in (1.1, 4].  Callers that
     know the structural exponent (2 for a quadratic iteration) can pass
-    it as rho and only that claim is validated.
+    it as rho and only that claim is validated.  With fewer than four
+    nonzero entries there is nothing to fit, and the witness reported is
+    the one for rho = 2.
 
     Zero entries satisfy any bound and are skipped.  Returns
     (ok, C, rho); on failure C and rho are NaN.
@@ -296,8 +272,8 @@ def rapid_convergence_check(xs: Sequence[float],
             return False, math.nan, math.nan
         return True, c, float(rho)
     if len(points) < 4:
-        c = max(x for _, x in points)
-        return True, c, 2.0
+        # too few points to fit rho; the quadratic claim has a witness
+        return True, _valid_witness(points, 2.0), 2.0
     ratios = _tail_ratios(points)
     tail = ratios[len(ratios) // 2 :]
     if min(tail) < 1.12 or statistics.median(tail) < 1.15:

@@ -151,6 +151,19 @@ class TestPrisma:
         assert traj[2]["x"] == "1/512"
         assert doc["diagnostics"]["rapidly_convergent"] is True
 
+    def test_short_trajectory_witness_bounds_every_point(self, capsys):
+        code, out, _ = run_capture(
+            capsys, "prisma", "--t", "1", "--s", "3/4", "--x", "1/4",
+            "--R", "1", "--k", "0", "--l", "1", "--lambda", "1/2",
+            "--steps", "2",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert [st["x"] for st in doc["trajectory"]] == ["1/4", "1/4", "1/2"]
+        diag = doc["diagnostics"]
+        assert diag["rho"] == 2.0
+        assert diag["C"] == pytest.approx(2**-0.25, rel=1e-15)
+
     def test_parametric_flag(self, capsys):
         _, out, _ = run_capture(
             capsys, "prisma", "--t", "1", "--s", "3/4", "--x", "1/16",

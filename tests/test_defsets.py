@@ -217,3 +217,63 @@ class TestSerialization:
     def test_unknown_op_rejected(self):
         with pytest.raises(UnsupportedShapeError):
             boundary_from_dict({"op": "spiral"})
+
+
+def _same(got, want):
+    """Equal in value and in number type."""
+    return type(got) is type(want) and got == want
+
+
+class TestNumberTypes:
+    """Exact inputs give exact parameters; one float makes them float."""
+
+    @pytest.mark.parametrize("alpha, a, wire", [
+        (2, F(1, 2), "1/2"),
+        (F(3, 2), F(2, 3), "2/3"),
+        (F(1, 3), F(3), "3/1"),
+        (4.0, 0.25, 0.25),
+    ])
+    def test_cone(self, alpha, a, wire):
+        b = DefSet.cone(alpha).boundary
+        assert _same(b.a, a)
+        assert b.to_dict() == {"op": "linear", "a": wire, "c": 0}
+
+    @pytest.mark.parametrize("c0, c1, a, c", [
+        (F(1, 4), F(1, 2), F(1, 2), F(-1, 4)),
+        (1, F(1, 3), F(2, 3), -1),
+        (0.25, F(1, 2), F(1, 2), -0.25),
+        (F(1, 4), 0.5, 0.5, F(-1, 4)),
+        (F(1, 4), 0, 1, F(-1, 4)),
+    ])
+    def test_affine_exponential(self, c0, c1, a, c):
+        b = defset_of_exponential((c0, c1)).boundary
+        assert _same(b.a, a) and _same(b.c, c)
+
+    @pytest.mark.parametrize("alphas, a, wire", [
+        ([F(1, 2), F(1, 3)], F(1, 3), "1/3"),
+        ([0, F(1, 2)], F(1, 2), "1/2"),
+        ([0], F(1), "1/1"),
+        ([], F(1), "1/1"),
+        ([F(1, 2), 0.5], 0.25, 0.25),
+        ([0.5, F(1, 2)], 0.25, 0.25),
+        ([0.25, 0.5], 0.375, 0.375),
+    ])
+    def test_product(self, alphas, a, wire):
+        b = defset_of_product(alphas).boundary
+        assert _same(b.a, a)
+        assert b.to_dict()["a"] == wire
+
+    @pytest.mark.parametrize("outer, inner, gamma, k, wire_k", [
+        ((2, 2), (3, 3), 18, F(6), "6/1"),
+        ((F(1, 2), F(3)), (F(2, 3), 2), F(4, 27), F(6), "6/1"),
+        ((3, 2), (F(1, 2), F(1, 2)), F(3, 4), F(1), "1/1"),
+        # a fractional power of the inner gamma is a float
+        ((1, F(1, 2)), (1, F(1, 2)), 1.0, F(1, 4), "1/4"),
+        ((F(1, 2), 2), (F(2, 3), 0.5), F(2, 9), 1.0, 1.0),
+        ((2, 2.0), (3, 3), 18.0, 6.0, 6.0),
+    ])
+    def test_convolve_powers(self, outer, inner, gamma, k, wire_k):
+        got = convolve(DefSet(Power(*inner)), DefSet(Power(*outer))).boundary
+        assert isinstance(got, Power)
+        assert _same(got.gamma, gamma) and _same(got.k, k)
+        assert got.to_dict()["k"] == wire_k

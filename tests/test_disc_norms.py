@@ -134,6 +134,22 @@ class TestLocalBounds:
         got = compose_local_bounds(LocalOpBound(1, 1, 0), LocalOpBound(1, 0, 2))
         assert got == LocalOpBound(1, 1, 2)
 
+    @pytest.mark.parametrize("l1, l2, l", [
+        (0, 0, 0),
+        (F(0), F(0), F(0)),
+        (0, F(0), F(0)),
+        (0, F(1, 2), F(1, 2)),
+        (0, 1, 1),
+        (0.0, 0.0, 0.0),
+        (0.0, 2, 2.0),
+    ])
+    def test_compose_with_zero_l_keeps_number_types(self, l1, l2, l):
+        # 0^0 = 1, so the factor is 1.0 and C = 2 * 3/2 as a float
+        got = compose_local_bounds(LocalOpBound(2, 1, l1), LocalOpBound(F(3, 2), F(1, 2), l2))
+        assert type(got.C) is float and got.C == 3.0
+        assert type(got.k) is F and got.k == F(3, 2)
+        assert type(got.l) is type(l) and got.l == l
+
     def test_calibrate_values(self):
         assert calibrate(LocalOpBound(1, 0, 1)) == pytest.approx(math.e)
         assert calibrate(LocalOpBound(7, 0, 0)) == 7

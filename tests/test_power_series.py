@@ -16,6 +16,7 @@ from lienorm.power_series import (
     apply_derivation,
     j_map,
     lie_exp,
+    num,
 )
 
 Z = TruncSeries.x
@@ -229,6 +230,16 @@ class TestSerialization:
     def test_fraction_strings(self):
         d = TruncSeries.monomial(1, 1, F(-295245, 16)).to_dict()
         assert d["coeffs"][1] == "-295245/16"
+
+
+class TestNum:
+    def test_exact_values_become_fractions(self):
+        assert type(num(3)) is F and num(3) == 3
+        x = F(2, 7)
+        assert num(x) is x
+
+    def test_floats_stay_floats(self):
+        assert type(num(0.5)) is float and num(0.5) == 0.5
 
 
 # -- algebraic laws -----------------------------------------------------

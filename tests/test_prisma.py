@@ -152,6 +152,25 @@ def _random_rational(rng, lo=1, hi=8):
     return F(rng.randint(lo, hi), rng.randint(hi + 1, 2 * hi + 2))
 
 
+class TestIntData:
+    def test_all_int_data_step_and_close_exactly(self):
+        state = PrismaState(4, 3, 1)
+        cfg = IterConfig(R=2, k=1, l=2, lam=F(1, 2), d=2)
+        traj = iterate(state, cfg, 5)
+        assert all(type(st_n.x) is F for st_n in traj[1:])
+        for n, st_n in enumerate(traj):
+            exact = closed_form_xn(n, state, cfg)
+            bound = closed_form_xn_bound(n, state, cfg)
+            assert type(exact) is F and exact == st_n.x
+            assert type(bound) is F and bound >= exact
+        # x0 = 1 < R rho s lam^2 (t-s)^2 = 2 * 5/6 * 3 * 1/4
+        assert in_invariant_set(state, cfg) is True
+        assert base_step(4, 3, F(1, 2)) == (F(3), F(5, 2))
+        assert all(type(v) is F for v in base_step(4, 3, F(1, 2)))
+        tinf = t_infinity(4, 3, F(1, 2))
+        assert type(tinf) is F and tinf == 2
+
+
 class TestRandomizedExactness:
     def test_fifty_configurations(self):
         rng = random.Random(20240517)
@@ -276,6 +295,28 @@ class TestRapidConvergence:
         with pytest.raises(ValueError):
             rapid_convergence_check([])
 
+    def test_short_sequence_witness(self):
+        # 1/2 <= C^(2^2) needs C >= 2^(-1/4); max|x| = 1/2 is no witness
+        ok, c, r = rapid_convergence_check([0.25, 0.25, 0.5])
+        assert ok and r == 2.0
+        assert c == pytest.approx(2**-0.25, rel=1e-15)
+
+    @pytest.mark.parametrize("length", range(1, 13))
+    def test_reported_witness_bounds_the_data(self, length):
+        rng = random.Random(length)
+        for _ in range(200):
+            kind = rng.randrange(3)
+            if kind == 0:
+                c0, r0 = rng.uniform(0.05, 0.95), rng.uniform(1.2, 3.0)
+                xs = [c0 ** (r0**n) for n in range(length)]
+            elif kind == 1:
+                xs = [rng.random() for _ in range(length)]
+            else:
+                xs = [rng.choice([0.0, rng.random()]) for _ in range(length)]
+            ok, c, r = rapid_convergence_check(xs)
+            if ok:
+                assert all(x <= c ** (r**n) * (1 + 1e-12) for n, x in enumerate(xs)), xs
+
 
 class TestValidation:
     def test_state_requires_prisma(self):
@@ -285,6 +326,14 @@ class TestValidation:
     def test_cfg_lambda_range(self):
         with pytest.raises(ValueError):
             IterConfig(R=1, lam=F(3, 2))
+
+    def test_int_coordinates_are_held_as_fractions(self):
+        state = PrismaState(4, 3, 1, alpha=0)
+        assert all(type(v) is F for v in (state.t, state.s, state.x, state.alpha))
+        assert state.to_dict() == {"t": "4/1", "s": "3/1", "x": "1/1", "alpha": "0/1"}
+        assert type(PrismaState(1.0, F(1, 2), 0).x) is F
+        cfg = IterConfig(R=2, k=1, l=2, lam=F(1, 2))
+        assert param_step(state, cfg).to_dict()["alpha"] == "1/1"
 
     def test_serialization_keeps_fractions(self):
         d = PrismaState(F(1), F(3, 4), F(1, 16)).to_dict()
