@@ -128,8 +128,16 @@ def _cmd_qtable(args):
 def _cmd_prisma(args):
     state = prisma.PrismaState(args.t, args.s, args.x, args.alpha)
     cfg = prisma.IterConfig(R=args.R, k=args.k, l=args.l, lam=args.lam)
-    traj = prisma.iterate(state, cfg, args.steps,
-                          parametric=args.alpha is not None)
+    # x_n has about 2^n times x_0's digits: stop at the first step str() refuses
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    too_long = 10**limit if limit else float("inf")
+    traj = [state]
+    for n in range(1, args.steps + 1):
+        traj.append(prisma.step(traj[-1], cfg))
+        if any(max(abs(v.numerator), v.denominator) >= too_long
+               for v in vars(traj[-1]).values() if v is not None):
+            raise ValueError("step %d has a value of more than %d digits, past Python's "
+                             "int-to-str limit (sys.get_int_max_str_digits())" % (n, limit))
     doc = [st.to_dict() for st in traj]
     ok, c_wit, rho_wit = prisma.rapid_convergence_check([st.x for st in traj])
     meta = {"rapidly_convergent": ok}

@@ -1,7 +1,7 @@
 """Definition sets of partial morphisms over the subdiagonal.
 
-A definition set is a region {(t, s) : 0 < s < f(t)} of the open
-subdiagonal cut out by a monotone boundary function, or the closed
+A definition set is a region {(t, s) in (0, 1]^2 : s < f(t)} cut out
+of the subdiagonal by a monotone boundary function, or the closed
 subdiagonal itself.  Convolution of two such sets (the set over which
 composed partial morphisms exist) is composition of their boundaries,
 which is carried out symbolically on a small expression grammar.
@@ -26,7 +26,7 @@ class UnsupportedShapeError(TypeError):
 
 
 class BoundaryFn:
-    """Monotone nondecreasing boundary expression on (0, S]."""
+    """Monotone nondecreasing boundary expression on (0, 1]."""
 
     _fields: tuple[str, ...] = ()
 
@@ -175,14 +175,16 @@ def _compose_boundaries(outer: BoundaryFn, inner: BoundaryFn) -> BoundaryFn:
 
 
 class DefSet:
-    """{(t, s) : 0 < s < boundary(t)}, or the closed subdiagonal.
+    """{(t, s) in (0, 1]^2 : s < boundary(t)}, or the closed subdiagonal.
 
     The region may poke above the diagonal (the set of the squaring map
     has boundary sqrt(t) > t for t < 1); nothing clamps it to {s < t}.
     """
 
+    S = 1.0  # every set lives in (0, S]^2
+
     def __init__(self, boundary: BoundaryFn | None = None,
-                 closed_diagonal: bool = False, S: float = 1.0):
+                 closed_diagonal: bool = False):
         if closed_diagonal:
             if boundary is not None:
                 raise ValueError("closed diagonal carries no boundary function")
@@ -192,36 +194,35 @@ class DefSet:
             )
         self.boundary = boundary
         self.closed_diagonal = closed_diagonal
-        self.S = S
 
     # -- canonical sets -------------------------------------------------
 
     @classmethod
-    def open_diagonal(cls, S: float = 1.0) -> "DefSet":
+    def open_diagonal(cls) -> "DefSet":
         """Delta = {s < t}."""
-        return cls(Linear(1, 0), S=S)
+        return cls(Linear(1, 0))
 
     @classmethod
-    def closed_subdiagonal(cls, S: float = 1.0) -> "DefSet":
+    def closed_subdiagonal(cls) -> "DefSet":
         """Delta-bar = {s <= t}."""
-        return cls(None, closed_diagonal=True, S=S)
+        return cls(None, closed_diagonal=True)
 
     @classmethod
-    def cone(cls, alpha, S: float = 1.0) -> "DefSet":
+    def cone(cls, alpha) -> "DefSet":
         """A_alpha = {alpha*s < t}, boundary t/alpha."""
         if alpha <= 0:
             raise ValueError("cone needs alpha > 0")
-        return cls(Linear(1 / num(alpha), 0), S=S)
+        return cls(Linear(1 / num(alpha), 0))
 
     @classmethod
-    def translation(cls, lam, S: float = 1.0) -> "DefSet":
+    def translation(cls, lam) -> "DefSet":
         """{s < t - |lambda|} for composition with z -> z + lambda."""
-        return cls(Linear(1, -abs(lam)), S=S)
+        return cls(Linear(1, -abs(lam)))
 
     @classmethod
-    def square_map(cls, S: float = 1.0) -> "DefSet":
+    def square_map(cls) -> "DefSet":
         """{s < sqrt(t)} for composition with z -> z**2."""
-        return cls(Power(1, Fraction(1, 2)), S=S)
+        return cls(Power(1, Fraction(1, 2)))
 
     def contains(self, t, s) -> bool:
         if not (0 < s <= self.S and 0 < t <= self.S):
@@ -241,9 +242,11 @@ class DefSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DefSet":
+        if d.get("S", cls.S) != cls.S:
+            raise ValueError("definition sets live in (0, 1]^2, got S=%r" % (d["S"],))
         if d.get("set") == "closed_subdiagonal":
-            return cls(None, closed_diagonal=True, S=d.get("S", 1.0))
-        return cls(boundary_from_dict(d["boundary"]), S=d.get("S", 1.0))
+            return cls(None, closed_diagonal=True)
+        return cls(boundary_from_dict(d["boundary"]))
 
     def __repr__(self):
         if self.closed_diagonal:
@@ -272,13 +275,11 @@ def convolve(A: DefSet, B: DefSet) -> DefSet:
     """
     _require_defset(A)
     _require_defset(B)
-    if A.closed_diagonal and B.closed_diagonal:
-        return DefSet.closed_subdiagonal(min(A.S, B.S))
     if A.closed_diagonal:
         return B
     if B.closed_diagonal:
         return A
-    return DefSet(_compose_boundaries(B.boundary, A.boundary), S=min(A.S, B.S))
+    return DefSet(_compose_boundaries(B.boundary, A.boundary))
 
 
 def is_idempotent_on_grid(A: DefSet, grid) -> bool:
@@ -289,11 +290,11 @@ def is_idempotent_on_grid(A: DefSet, grid) -> bool:
 def downset_hull(A: DefSet) -> DefSet:
     """Delta-bar * A * Delta-bar; the identity on representable sets."""
     _require_defset(A)
-    closed = DefSet.closed_subdiagonal(A.S)
+    closed = DefSet.closed_subdiagonal()
     return convolve(closed, convolve(A, closed))
 
 
-def defset_of_exponential(norm_fn, S: float = 1.0) -> DefSet:
+def defset_of_exponential(norm_fn) -> DefSet:
     """Definition set {s < t - ||u||(t)} of an exponential.
 
     norm_fn may be a constant (the norm of a translation-type operator),
@@ -304,8 +305,8 @@ def defset_of_exponential(norm_fn, S: float = 1.0) -> DefSet:
         if norm_fn < 0:
             raise ValueError("operator norm must be >= 0")
         if norm_fn == 0:
-            return DefSet.open_diagonal(S)
-        return DefSet(Linear(1, -norm_fn), S=S)
+            return DefSet.open_diagonal()
+        return DefSet(Linear(1, -norm_fn))
     if isinstance(norm_fn, tuple):
         c0, c1 = norm_fn
         if c0 < 0 or c1 < 0:
@@ -313,14 +314,14 @@ def defset_of_exponential(norm_fn, S: float = 1.0) -> DefSet:
         if c1 >= 1:
             raise DegenerateSetError("norm slope %s >= 1 leaves no domain" % (c1,))
         if c1 == 0:
-            return defset_of_exponential(c0, S)
-        return DefSet(Linear(1 - num(c1), -c0), S=S)
+            return defset_of_exponential(c0)
+        return DefSet(Linear(1 - num(c1), -c0))
     if callable(norm_fn):
-        return DefSet(CallableBoundary(lambda t: t - norm_fn(t)), S=S)
+        return DefSet(CallableBoundary(lambda t: t - norm_fn(t)))
     raise UnsupportedShapeError("cannot interpret norm description %r" % (norm_fn,))
 
 
-def defset_of_product(alphas, S: float = 1.0) -> DefSet:
+def defset_of_product(alphas) -> DefSet:
     """{s < prod(1 - alpha_i) t}, where an infinite composition of
     exponentials with ||u_i|| <= alpha_i t converges."""
     prod = Fraction(1)
@@ -328,14 +329,14 @@ def defset_of_product(alphas, S: float = 1.0) -> DefSet:
         if not 0 <= a < 1:
             raise DegenerateSetError("factors need alpha in [0, 1), got %s" % (a,))
         prod *= 1 - num(a)
-    return DefSet(Linear(prod, 0), S=S)
+    return DefSet(Linear(prod, 0))
 
 
-def tangent_slope_at_origin(A: DefSet, h: float = 1e-5) -> float:
-    """Boundary slope at 0 by Richardson-extrapolated finite differences."""
+def tangent_slope_at_origin(A: DefSet) -> float:
+    """Boundary slope at 0, Richardson-extrapolated from steps 1e-5, 5e-6."""
     _require_defset(A)
     if A.closed_diagonal:
         return 1.0
-    s1 = A.boundary(h) / h
-    s2 = A.boundary(h / 2) / (h / 2)
+    s1 = A.boundary(1e-5) / 1e-5
+    s2 = A.boundary(5e-6) / 5e-6
     return 2 * s2 - s1

@@ -224,7 +224,7 @@ def geometric_borel_bound(x) -> float:
 
 
 class WeightSequence:
-    """A family of increasing weight functions lambda_n on (0, S].
+    """A family of increasing weight functions lambda_n on (0, 1].
 
     kind 'geometric' is lambda_n(s) = s**(a*n); 'hilbert' (dimension 1)
     is sqrt(pi/(n+1)) s**(n+1); 'constant' is lambda_n = 1; 'tabulated'
@@ -232,8 +232,7 @@ class WeightSequence:
     """
 
     def __init__(self, kind: str, a: Fraction | int = 1,
-                 table: Sequence[Callable[[float], float]] | None = None,
-                 S: float = 1.0):
+                 table: Sequence[Callable[[float], float]] | None = None):
         if kind not in ("geometric", "hilbert", "constant", "tabulated"):
             raise ValueError("unknown weight kind %r" % kind)
         if kind == "tabulated" and not table:
@@ -241,7 +240,6 @@ class WeightSequence:
         self.kind = kind
         self.a = Fraction(a)
         self.table = list(table) if table else None
-        self.S = S
 
     def weight(self, n: int, s: float) -> float:
         if self.kind == "geometric":

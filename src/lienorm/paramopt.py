@@ -319,12 +319,12 @@ def maximize_equalized(start=None) -> OptResult:
     return OptResult(x[0], x[1], r, val, val / E, nit, gnorm)
 
 
-def minimize_q(n: int, start=None, resolution=120) -> QRow:
-    """Per-n minimum of Q over the triangle."""
+def minimize_q(n: int, start=None) -> QRow:
+    """Per-n minimum of Q over the triangle, seeded from a 120 x 120 grid."""
     if n < 3:
         raise ValueError("need n >= 3")
     f = lambda lam, mu: -q_value(n, lam, mu)
-    x, _, _ = _maximize(f, start, resolution, xatol=1e-11)
+    x, _, _ = _maximize(f, start, 120, xatol=1e-11)
     lam, mu = float(x[0]), float(x[1])
     tinf = certified_t_inf(n, lam, mu, 1.0)
     return QRow(n, lam, mu, true_radius(n, 1.0) / tinf, true_radius(n, 1.0), tinf)

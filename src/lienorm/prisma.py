@@ -1,8 +1,10 @@
 """Finite-dimensional dynamics driving the iteration's norm bounds.
 
 The state space is the prisma {t > s > 0} x R+.  The base map contracts
-the pair (t, s) toward the diagonal; the full map squares the third
-coordinate against a pole factor.  Values enter through
+the pair (t, s) toward the diagonal; the full map is quadratic, squaring
+the third coordinate against a pole factor.  A state may carry a fourth
+coordinate alpha, which each step increases by the current x; a state
+without one stays without.  Values enter through
 :func:`lienorm.power_series.num`: ``PrismaState`` coerces its
 coordinates and ``base_step`` and ``t_infinity`` their arguments, so an
 int or ``Fraction`` is held as a ``Fraction`` and anything else as a
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -24,7 +26,8 @@ from .power_series import fraction_str, num
 
 
 class LeavesDomainError(ValueError):
-    """Base iteration started at s <= lambda*t, which exits the prisma."""
+    """The base iteration leaves its domain: ``base_step`` from
+    s <= lambda*t, or a closed form whose trajectory reaches s_i <= 0."""
 
 
 class NonpositiveLimitError(ValueError):
@@ -62,7 +65,6 @@ class IterConfig:
     k: object = 0
     l: object = 1
     lam: object = Fraction(1, 2)
-    d: int = 2
 
     def __post_init__(self):
         if not (0 < self.lam < 1):
@@ -71,8 +73,6 @@ class IterConfig:
             raise ValueError("need R > 0")
         if self.k < 0 or self.l < 0:
             raise ValueError("pole orders must be >= 0")
-        if self.d < 2:
-            raise ValueError("exponent d must be >= 2")
 
 
 def base_step(t, s, lam):
@@ -99,18 +99,13 @@ def rho(t, s, lam):
 
 
 def step(state: PrismaState, cfg: IterConfig) -> PrismaState:
-    """(t,s,x) -> (s, s - lam*(t-s), x^d / (R s^k (t-s)^l))."""
+    """(t,s,x) -> (s, s - lam*(t-s), x^2 / (R s^k (t-s)^l)), and alpha
+    -> alpha + x when the state carries alpha."""
     t, s, x = state.t, state.s, state.x
     lam = cfg.lam
-    x2 = x**cfg.d / (cfg.R * s**cfg.k * (t - s) ** cfg.l)
-    return PrismaState(s, s - lam * (t - s), x2, state.alpha)
-
-
-def param_step(state: PrismaState, cfg: IterConfig) -> PrismaState:
-    """Parametric variant: fourth coordinate accumulates x."""
-    if state.alpha is None:
-        raise ValueError("param_step needs a state with alpha")
-    return replace(step(state, cfg), alpha=state.x + state.alpha)
+    x2 = x**2 / (cfg.R * s**cfg.k * (t - s) ** cfg.l)
+    alpha = None if state.alpha is None else x + state.alpha
+    return PrismaState(s, s - lam * (t - s), x2, alpha)
 
 
 def in_invariant_set(state: PrismaState, cfg: IterConfig) -> bool:
@@ -123,24 +118,27 @@ def in_invariant_set(state: PrismaState, cfg: IterConfig) -> bool:
     return x < bound
 
 
-def iterate(state: PrismaState, cfg: IterConfig, n: int,
-            parametric: bool = False) -> list[PrismaState]:
-    """The trajectory [state, f(state), ..., f^n(state)]."""
+def iterate(state: PrismaState, cfg: IterConfig, n: int) -> list[PrismaState]:
+    """The trajectory [state, f(state), ..., f^n(state)] under ``step``."""
     out = [state]
-    stepper = param_step if parametric else step
     for _ in range(n):
-        out.append(stepper(out[-1], cfg))
+        out.append(step(out[-1], cfg))
     return out
 
 
 def _partial_rho_products(n: int, state0: PrismaState, cfg: IterConfig):
-    """[p_0, ..., p_n] with p_i the product of rho(t_j, s_j) over j < i."""
+    """[p_0, ..., p_n] with p_i the product of rho(t_j, s_j) over j < i,
+    which is s_i/s_0: LeavesDomainError at the first p_i <= 0."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     lam = cfg.lam
     t, s = state0.t, state0.s
     p = rho(t, s, lam) ** 0  # the empty product, exact iff t, s and lam are
     out = [p]
-    for _ in range(n):
+    for i in range(1, n + 1):
         p = p * rho(t, s, lam)
+        if p <= 0:
+            raise LeavesDomainError("s_%d <= 0: trajectory leaves the prisma" % i)
         t, s = s, s - lam * (t - s)
         out.append(p)
     return out
@@ -155,8 +153,8 @@ def closed_form_xn(n: int, state0: PrismaState, cfg: IterConfig):
     s-multipliers rho(t_j, s_j).  For k = 0 the trailing product is 1 and
     this is the familiar displayed form; for k > 0 the displayed form
     (see closed_form_xn_bound) only bounds it from above.  Exact in
-    rational arithmetic for rational data and integral k, l; quadratic
-    case d = 2 only.
+    rational arithmetic for rational data and integral k, l.  Raises
+    LeavesDomainError where ``iterate`` leaves the prisma before x_n.
 
     The product is evaluated as x_n = K lam^(l n) q_n, where q_0 = x0/K
     and q_{i+1} = q_i^2 / p_i^k (Horner-style over the exponents 2^(n-1-i)),
@@ -165,17 +163,14 @@ def closed_form_xn(n: int, state0: PrismaState, cfg: IterConfig):
     every product; here squaring needs no gcd and every other product has
     one small operand.
     """
-    if cfg.d != 2:
-        raise ValueError("closed form is stated for d = 2 only")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    products = _partial_rho_products(n, state0, cfg)
     lam = cfg.lam
     K = cfg.R * state0.s**cfg.k * lam**cfg.l * (state0.t - state0.s) ** cfg.l
     q = state0.x / K
     if cfg.k == 0:
         q = q ** (2**n)
     else:
-        for p in _partial_rho_products(n, state0, cfg)[:-1]:
+        for p in products[:-1]:
             q = q**2 / p**cfg.k
     return K * lam ** (cfg.l * n) * q
 
@@ -187,12 +182,8 @@ def closed_form_xn_bound(n: int, state0: PrismaState, cfg: IterConfig):
 
     Evaluated as K_n (x0/K_n)^(2^n) lam^(l n), for the reason given in
     closed_form_xn: the power needs no gcd and each product that follows
-    has one small operand.
+    has one small operand.  Raises as closed_form_xn does.
     """
-    if cfg.d != 2:
-        raise ValueError("closed form is stated for d = 2 only")
-    if n < 0:
-        raise ValueError("n must be >= 0")
     lam = cfg.lam
     p_n = _partial_rho_products(n, state0, cfg)[-1]
     K_n = (cfg.R * p_n**cfg.k * state0.s**cfg.k * lam**cfg.l

@@ -3,6 +3,7 @@ import io
 import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -184,6 +185,24 @@ class TestPrisma:
         assert len(doc["trajectory"]) == 9
         assert doc["diagnostics"] == {"rapidly_convergent": False}
 
+    def test_stops_at_the_first_unprintable_step(self, capsys):
+        # x_14 has about 65000 bits, past Python's 4300-digit str limit
+        code, out, err = run_capture(
+            capsys, "prisma", "--t", "1", "--s", "3/4", "--x", "1/16",
+            "--steps", "14",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == ("error: step 14 has a value of more than 4300 digits, past "
+                       "Python's int-to-str limit (sys.get_int_max_str_digits())\n")
+
+    def test_zero_trajectory_prints_every_step(self, capsys):
+        code, out, _ = run_capture(capsys, "prisma", "--t", "1", "--s", "3/4",
+                                   "--x", "0", "--steps", "40")
+        assert code == 0
+        traj = json.loads(out)["trajectory"]
+        assert len(traj) == 41 and {st["x"] for st in traj} == {"0/1"}
+
 
 class TestDefset:
     CONE = json.dumps({"op": "linear", "a": "1/2", "c": 0})
@@ -292,3 +311,14 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert out == ""
         assert not target.exists()
+
+
+# stdout, stderr and exit code of these runs, recorded before the prisma
+# exponent, the parametric flag and the definition-set domain S were removed
+GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["name"] for case in GOLDEN])
+def test_golden_bytes(capsys, case):
+    code, out, err = run_capture(capsys, *case["argv"])
+    assert (code, out, err) == (case["exit_code"], case["stdout"], case["stderr"])

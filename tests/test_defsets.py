@@ -210,6 +210,15 @@ class TestSerialization:
         D = DefSet.closed_subdiagonal()
         assert DefSet.from_dict(D.to_dict()).closed_diagonal
 
+    def test_from_dict_accepts_only_the_unit_square(self):
+        doc = DefSet.cone(2).to_dict()
+        assert doc["S"] == 1.0
+        assert DefSet.from_dict(doc).boundary == Linear(F(1, 2), 0)
+        with pytest.raises(ValueError, match="S=2"):
+            DefSet.from_dict(dict(doc, S=2))
+        with pytest.raises(ValueError):
+            DefSet.from_dict({"set": "closed_subdiagonal", "S": 2})
+
     def test_callable_does_not_serialize(self):
         with pytest.raises(UnsupportedShapeError):
             DefSet(CallableBoundary(lambda t: t)).to_dict()

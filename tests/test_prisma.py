@@ -14,7 +14,6 @@ from lienorm.prisma import (
     closed_form_xn_bound,
     in_invariant_set,
     iterate,
-    param_step,
     rapid_convergence_check,
     rho,
     step,
@@ -155,7 +154,7 @@ def _random_rational(rng, lo=1, hi=8):
 class TestIntData:
     def test_all_int_data_step_and_close_exactly(self):
         state = PrismaState(4, 3, 1)
-        cfg = IterConfig(R=2, k=1, l=2, lam=F(1, 2), d=2)
+        cfg = IterConfig(R=2, k=1, l=2, lam=F(1, 2))
         traj = iterate(state, cfg, 5)
         assert all(type(st_n.x) is F for st_n in traj[1:])
         for n, st_n in enumerate(traj):
@@ -203,6 +202,50 @@ class TestRandomizedExactness:
                     assert bound == st_n.x
             checked += 1
 
+    def test_closed_forms_raise_exactly_when_iterate_does(self):
+        # starts anywhere in the prisma, so many trajectories leave it;
+        # with a fractional k a negative partial product would make the
+        # closed forms complex
+        rng = random.Random(20261018)
+        raised = kept = 0
+        for _ in range(400):
+            t = F(rng.randint(5, 12), 4)
+            state = PrismaState(t, t * F(rng.randint(1, 19), 20),
+                                F(rng.randint(1, 9), 1000))
+            cfg = IterConfig(R=F(rng.randint(1, 4), rng.randint(1, 2)),
+                             k=rng.choice([0, F(1, 2), 1, F(3, 2), 2]),
+                             l=rng.choice([0, F(1, 2), 1, 2]),
+                             lam=F(rng.randint(1, 7), 8))
+            n = rng.randint(0, 6)
+            try:
+                x_n = iterate(state, cfg, n)[-1].x
+            except ValueError:
+                raised += 1
+                for form in (closed_form_xn, closed_form_xn_bound):
+                    with pytest.raises(LeavesDomainError):
+                        form(n, state, cfg)
+                continue
+            kept += 1
+            exact = closed_form_xn(n, state, cfg)
+            bound = closed_form_xn_bound(n, state, cfg)
+            assert isinstance(exact, (F, float)) and isinstance(bound, (F, float))
+            assert exact == pytest.approx(x_n, rel=1e-9, abs=1e-300)
+            assert bound >= exact * (1 - 1e-9)
+        assert raised > 50 and kept > 50
+
+    def test_documented_exit_from_the_prisma(self):
+        # s_2 = -5/32: there is no x_2 or x_3, though the unchecked formula
+        # gives 1/192 and -1/1620 for them
+        state = PrismaState(F(1), F(1, 2), F(1, 16))
+        cfg = IterConfig(R=F(1), k=1, l=1, lam=F(3, 4))
+        assert closed_form_xn(1, state, cfg) == iterate(state, cfg, 1)[-1].x
+        with pytest.raises(ValueError):
+            iterate(state, cfg, 2)
+        for n in (2, 3):
+            for form in (closed_form_xn, closed_form_xn_bound):
+                with pytest.raises(LeavesDomainError):
+                    form(n, state, cfg)
+
     def test_gap_contracts_exactly(self):
         rng = random.Random(7)
         for _ in range(20):
@@ -217,21 +260,21 @@ class TestRandomizedExactness:
 
 
 class TestParametric:
-    def test_documented_param_step(self):
+    def test_documented_step_with_alpha(self):
         st4 = PrismaState(F(1), F(3, 4), F(1, 16), F(0))
-        nxt = param_step(st4, CFG)
+        nxt = step(st4, CFG)
         assert (nxt.t, nxt.s, nxt.x, nxt.alpha) == (
             F(3, 4), F(5, 8), F(1, 64), F(1, 16)
         )
 
     def test_zero_is_fixed(self):
         st4 = PrismaState(F(1), F(3, 4), F(0), F(0))
-        nxt = param_step(st4, CFG)
+        nxt = step(st4, CFG)
         assert nxt.x == 0 and nxt.alpha == 0
 
     def test_alpha_accumulates_previous_x(self):
         st4 = PrismaState(F(1), F(3, 4), F(1, 16), F(0))
-        traj = iterate(st4, CFG, 6, parametric=True)
+        traj = iterate(st4, CFG, 6)
         for n in range(1, len(traj)):
             assert traj[n].alpha == sum(traj[i].x for i in range(n))
 
@@ -244,12 +287,13 @@ class TestParametric:
             K * ratio ** (2**n) * float(CFG.lam) ** n for n in range(20)
         )
         r = total * 1.001
-        traj = iterate(st4, CFG, 12, parametric=True)
+        traj = iterate(st4, CFG, 12)
         assert all(st_n.alpha <= r for st_n in traj)
 
-    def test_param_step_needs_alpha(self):
-        with pytest.raises(ValueError):
-            param_step(PrismaState(F(1), F(1, 2), F(0)), CFG)
+    def test_step_keeps_alpha_none(self):
+        traj = iterate(PrismaState(F(1), F(3, 4), F(1, 16)), CFG, 6)
+        assert all(st_n.alpha is None for st_n in traj)
+        assert "alpha" not in traj[-1].to_dict()
 
 
 class TestRapidConvergence:
@@ -333,7 +377,7 @@ class TestValidation:
         assert state.to_dict() == {"t": "4/1", "s": "3/1", "x": "1/1", "alpha": "0/1"}
         assert type(PrismaState(1.0, F(1, 2), 0).x) is F
         cfg = IterConfig(R=2, k=1, l=2, lam=F(1, 2))
-        assert param_step(state, cfg).to_dict()["alpha"] == "1/1"
+        assert step(state, cfg).to_dict()["alpha"] == "1/1"
 
     def test_serialization_keeps_fractions(self):
         d = PrismaState(F(1), F(3, 4), F(1, 16)).to_dict()
