@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -319,8 +320,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Write "--opt -1/2" as "--opt=-1/2".
+
+    argparse reads a token that starts with "-" and is no plain number,
+    such as -1/2 or -1,0,1, as an option, so a negative fraction or list
+    would need the "=" form."""
+    out = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and re.match(r"-\d", tok):
+            out[-1] = prev + "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def run(argv=None) -> int:
     parser = build_parser()
+    argv = _join_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

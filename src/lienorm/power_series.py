@@ -1,19 +1,26 @@
 """Exact truncated power-series algebra over the rationals.
 
-A :class:`TruncSeries` stores the coefficients of a univariate formal
-power series modulo ``z**(trunc_order+1)``, all of them
-:class:`fractions.Fraction` instances.  Every operation returns the
-tightest truncation order it can certify from the truncation orders and
-leading orders of its inputs, so a claim "known modulo z^(N+1)" is always
-sound.  This makes coefficient identities testable as exact equalities.
+A :class:`TruncSeries` stores a univariate formal power series modulo
+``z**(trunc_order+1)`` as one integer numerator vector over one common
+denominator, ``coeffs[k] == Fraction(num[k], den)``, in canonical form:
+``den > 0`` and ``gcd(den, num[0], ..., num[N]) == 1``, which makes
+``den`` the least common denominator of the coefficients (and 1 for the
+zero series).  Every operation works on the integers and ends with one
+content reduction, so no operation builds a ``Fraction`` per
+coefficient.  The public ``coeffs`` tuple of ``Fraction``s is built on
+first access and then kept.
 
-Every series product goes through one kernel, ``_raw_mul``.  It writes
-each operand as an integer vector over the least common denominator of
-its coefficients, packs each vector into one Python int with slots wide
-enough for any coefficient of the product (Kronecker substitution), does
-one big-integer multiply and reads the slots back as ``Fraction``s over
-the product of the two denominators.  Composition is a Taylor shift
-built on the same kernel (see :meth:`TruncSeries.compose`).
+Every operation returns the tightest truncation order it can certify
+from the truncation orders and leading orders of its inputs, so a claim
+"known modulo z^(N+1)" is always sound.  This makes coefficient
+identities testable as exact equalities.
+
+Every series product goes through one kernel, ``_raw_mul``: it takes two
+integer vectors, packs each into one Python int with slots wide enough
+for any coefficient of the product (Kronecker substitution), does one
+big-integer multiply and reads the slots back as integers; the caller
+holds the product of the two denominators.  Composition is a Taylor
+shift built on the same kernel (see :meth:`TruncSeries.compose`).
 
 The module also provides derivations ``v(z) d/dz`` acting on series, the
 terminating Lie exponential for derivations of order >= 2, and the
@@ -22,12 +29,12 @@ division map sending a series ``b`` with ``b(0)=0`` to the derivation
 
 Two number rules live here.  Series coefficients must be exact:
 ``_frac`` turns ints and ``"p/q"`` strings into ``Fraction`` and
-rejects floats.  Scalar data outside the series layer follow :func:`num`:
-an int or ``Fraction`` becomes an exact ``Fraction`` and anything else a
-float.  Callers apply ``num`` once where a value enters; after that
-Python's own arithmetic keeps rationals exact and lets any float make
-the result a float (``Fraction ** int`` stays exact, a fractional
-exponent gives a float).
+rejects floats where coefficients enter a series.  Scalar data outside
+the series layer follow :func:`num`: an int or ``Fraction`` becomes an
+exact ``Fraction`` and anything else a float.  Callers apply ``num``
+once where a value enters; after that Python's own arithmetic keeps
+rationals exact and lets any float make the result a float
+(``Fraction ** int`` stays exact, a fractional exponent gives a float).
 """
 
 from __future__ import annotations
@@ -86,11 +93,12 @@ def fraction_str(x):
 class TruncSeries:
     """A power series known modulo ``z**(trunc_order+1)``.
 
-    ``coeffs[k]`` is the coefficient of ``z**k``; the list always has
-    exactly ``trunc_order + 1`` entries.
+    ``coeffs[k]`` is the coefficient of ``z**k``; the tuple always has
+    exactly ``trunc_order + 1`` entries.  It is built from the integer
+    pair ``(_num, _den)`` on first access (see the module docstring).
     """
 
-    __slots__ = ("coeffs", "trunc_order")
+    __slots__ = ("_num", "_den", "_coeffs", "trunc_order")
 
     def __init__(self, coeffs: Iterable[Scalar], trunc_order: int | None = None):
         cs = [_frac(c) for c in coeffs]
@@ -104,11 +112,24 @@ class TruncSeries:
             cs = cs + [Fraction(0)] * (trunc_order + 1 - len(cs))
         else:
             cs = cs[: trunc_order + 1]
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "trunc_order", trunc_order)
+        # Tuples and star-arguments here are built from lists: CPython sizes
+        # one built from a generator at 10 and resizes it, and such tuples
+        # pile up on its free lists.
+        d = math.lcm(*[c.denominator for c in cs])
+        _init(self, tuple([c.numerator * (d // c.denominator) for c in cs]), d,
+              trunc_order, tuple(cs))
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        cs = self._coeffs
+        if cs is None:
+            d = self._den
+            cs = tuple([Fraction(a, d) for a in self._num])
+            object.__setattr__(self, "_coeffs", cs)
+        return cs
 
     # -- constructors -------------------------------------------------
 
@@ -145,10 +166,7 @@ class TruncSeries:
     @property
     def order(self):
         """Smallest k with a nonzero stored coefficient, or +inf."""
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
-                return k
-        return math.inf
+        return next((k for k, a in enumerate(self._num) if a), math.inf)
 
     def _eff_order(self) -> int:
         """Order capped at trunc_order + 1 (a zero series is O(z^(N+1)))."""
@@ -161,17 +179,17 @@ class TruncSeries:
         return self.coeffs[k]
 
     def constant_term(self) -> Fraction:
-        return self.coeffs[0]
+        return Fraction(self._num[0], self._den)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._num)
 
     def truncate(self, trunc_order: int) -> "TruncSeries":
         if trunc_order > self.trunc_order:
             raise InsufficientTruncationError(
                 "cannot extend truncation %d to %d" % (self.trunc_order, trunc_order)
             )
-        return TruncSeries(self.coeffs[: trunc_order + 1], trunc_order)
+        return _reduced(self._num[: trunc_order + 1], self._den, trunc_order)
 
     # -- equality: coefficientwise on the common truncation -----------
 
@@ -179,7 +197,8 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         n = min(self.trunc_order, other.trunc_order)
-        return self.coeffs[: n + 1] == other.coeffs[: n + 1]
+        da, db = self._den, other._den
+        return all(a * db == b * da for a, b in zip(self._num[: n + 1], other._num))
 
     __hash__ = None  # equality on common truncations is not transitive
 
@@ -190,29 +209,28 @@ class TruncSeries:
             other = TruncSeries([other], self.trunc_order)
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        n = min(self.trunc_order, other.trunc_order)
-        return TruncSeries(
-            [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)], n
-        )
+        return _add(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries([-c for c in self.coeffs], self.trunc_order)
+        return _new(tuple([-a for a in self._num]), self._den, self.trunc_order)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = TruncSeries([other], self.trunc_order)
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        return self + (-other)
+        return _add(self, other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def scale(self, c: Scalar) -> "TruncSeries":
         c = _frac(c)
-        return TruncSeries([c * a for a in self.coeffs], self.trunc_order)
+        p = c.numerator
+        return _reduced([p * a for a in self._num], self._den * c.denominator,
+                        self.trunc_order)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -243,22 +261,19 @@ class TruncSeries:
     # -- calculus ------------------------------------------------------
 
     def derivative(self) -> "TruncSeries":
-        n = max(self.trunc_order - 1, 0)
-        return TruncSeries(
-            [Fraction(k) * self.coeffs[k] for k in range(1, self.trunc_order + 1)], n
-        )
+        a = self._num
+        return _reduced([k * a[k] for k in range(1, len(a))] or [0], self._den,
+                        max(self.trunc_order - 1, 0))
 
     def nabla(self) -> "TruncSeries":
         """z * d/dz, coefficientwise k*a_k; keeps the truncation order."""
-        return TruncSeries(
-            [Fraction(k) * c for k, c in enumerate(self.coeffs)], self.trunc_order
-        )
+        return _reduced([k * a for k, a in enumerate(self._num)], self._den,
+                        self.trunc_order)
 
     def hadamard(self, other: "TruncSeries") -> "TruncSeries":
         n = min(self.trunc_order, other.trunc_order)
-        return TruncSeries(
-            [self.coeffs[k] * other.coeffs[k] for k in range(n + 1)], n
-        )
+        return _reduced([a * b for a, b in zip(self._num[: n + 1], other._num)],
+                        self._den * other._den, n)
 
     def compose(self, inner: "TruncSeries") -> "TruncSeries":
         """self(inner), requiring inner(0) = 0.
@@ -274,8 +289,13 @@ class TruncSeries:
         about n/ord(h) of them, n the working order computed below.  The
         sum is evaluated Horner-fashion in h, each partial sum only to the
         order that its power of h leaves inside the window.
+
+        On integers: with self = F/df, a = p/q and h = H/dh, the
+        coefficients of T_k up to z^m are F[j+k] C(j+k, k) p^j q^(m-j)
+        over df q^m, and each partial sum is brought to the least common
+        denominator and reduced once.
         """
-        if inner.constant_term() != 0:
+        if inner._num[0]:
             raise CompositionDomainError(
                 "inner series has nonzero constant term %s" % inner.constant_term()
             )
@@ -285,51 +305,58 @@ class TruncSeries:
             og * (self.trunc_order + 1),
             od * og + inner.trunc_order + 1,
         ) - 1
-        cs = self.coeffs + (Fraction(0),) * (n - self.trunc_order)
-        a = inner.coeffs[1] if min(n, inner.trunc_order) >= 1 else Fraction(0)
-        h = [Fraction(0)] * 2 + list(inner.coeffs[2 : n + 1])
+        f = self._num + (0,) * (n - self.trunc_order)
+        df = self._den
+        a = (Fraction(inner._num[1], inner._den) if min(n, inner.trunc_order) >= 1
+             else Fraction(0))
+        p, q = a.numerator, a.denominator
+        h, dh = _canon([0, 0, *inner._num[2 : n + 1]], inner._den)
         oh = next((k for k, c in enumerate(h) if c), n + 1)
-        apow = [a**j for j in range(n + 1)]
-        acc = []
+        ppow = [p**j for j in range(n + 1)]
+        qpow = [q**j for j in range(n + 1)]
+        acc = None
         for k in range(n // oh, -1, -1):
             m = n - k * oh  # T_k + h*acc is needed modulo z^(m+1)
-            t = [cs[j + k] * math.comb(j + k, k) * apow[j] for j in range(m + 1)]
-            if acc:
+            t = [f[j + k] * math.comb(j + k, k) * ppow[j] * qpow[m - j]
+                 for j in range(m + 1)]
+            dt = df * qpow[m]
+            if acc is not None:
+                # T_k + h*acc over the lcm of the two denominators
                 hacc = _raw_mul(h[oh:], acc, m - oh)
-                t[oh:] = [x + y for x, y in zip(t[oh:], hacc)]
-            acc = t
-        return TruncSeries(acc, n)
+                dha = dh * dacc
+                g = math.gcd(dt, dha)
+                st, sh = dha // g, dt // g
+                t = [c * st for c in t[:oh]] + [
+                    c * st + e * sh for c, e in zip(t[oh:], hacc)]
+                dt *= st
+            acc, dacc = _canon(t, dt)
+        return _new(tuple(acc), dacc, n)
 
     def invert(self) -> "TruncSeries":
         """Compositional inverse g with self(g) = z, up to the truncation.
 
-        Coefficient recursion from compose(f, g) = z; for truncation order
-        N it runs about N^2/2 products of length at most N + 1, fine at
-        desk scale.
+        Lagrange inversion: with self = f1 z (1 + u) and P = (1 + u)^(-1),
+        [z^m] g = [w^(m-1)] P^m / (m f1^m).  About 2N products of length N
+        for truncation order N.
         """
-        if self.constant_term() != 0 or self.trunc_order < 1 or self.coeffs[1] == 0:
+        if self._num[0] or self.trunc_order < 1 or not self._num[1]:
             raise NotInvertibleError("needs f(0) = 0 and f'(0) != 0")
         n = self.trunc_order
+        f1 = Fraction(self._num[1], self._den)
+        p = self.weierstrass_div_monomial(1)[0].scale(1 / f1).binomial_pow(-1)
+        power = p
         g = [Fraction(0)] * (n + 1)
-        g[1] = 1 / self.coeffs[1]
-        for m in range(2, n + 1):
-            # [z^m] f(g_partial) with g[m] still zero; then solve via f'(0)
-            acc = [Fraction(0)] * (m + 1)
-            power = g[: m + 1]
-            for k in range(1, m + 1):
-                if k > 1:
-                    power = _raw_mul(power, g[: m + 1], m)
-                fk = self.coeffs[k] if k <= n else Fraction(0)
-                if fk:
-                    for i in range(m + 1):
-                        acc[i] += fk * power[i]
-            g[m] = -acc[m] / self.coeffs[1]
+        for m in range(1, n + 1):
+            if m > 1:
+                power = _mul_at(power, p, n - 1)
+            g[m] = Fraction(power._num[m - 1], power._den * m) / f1**m
         return TruncSeries(g, n)
 
     def binomial_pow(self, e: Scalar) -> "TruncSeries":
         """(1 + u)^e for self = 1 + u via the binomial series."""
-        if self.constant_term() != 1:
-            raise ValueError("binomial power needs constant term 1, got %s" % self.coeffs[0])
+        if self._num[0] != self._den:
+            raise ValueError("binomial power needs constant term 1, got %s"
+                             % self.constant_term())
         e = _frac(e)
         n = self.trunc_order
         u = self - TruncSeries.one(n)
@@ -342,7 +369,7 @@ class TruncSeries:
             if term.is_zero():
                 break
             out = out + term.scale(coef)
-        return TruncSeries(out.coeffs, n)
+        return out
 
     def weierstrass_div_monomial(self, d: int) -> tuple["TruncSeries", "TruncSeries"]:
         """Split f = z^d * q + p with deg p < d; returns (q, p)."""
@@ -354,8 +381,8 @@ class TruncSeries:
             )
         if d == 0:
             return self, TruncSeries.zero(0)
-        q = TruncSeries(self.coeffs[d:], self.trunc_order - d)
-        p = TruncSeries(self.coeffs[:d], d - 1)
+        q = _reduced(self._num[d:], self._den, self.trunc_order - d)
+        p = _reduced(self._num[:d], self._den, d - 1)
         return q, p
 
     # -- evaluation and serialization ---------------------------------
@@ -392,43 +419,69 @@ class TruncSeries:
         return "TruncSeries(%s + O(z^%d))" % (body, self.trunc_order + 1)
 
 
-def _int_vector(a: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators over the least common denominator of a."""
-    d = math.lcm(*(x.denominator for x in a))
-    return [x.numerator * (d // x.denominator) for x in a], d
+def _init(s: TruncSeries, num: tuple, den: int, n: int, coeffs=None) -> None:
+    object.__setattr__(s, "_num", num)
+    object.__setattr__(s, "_den", den)
+    object.__setattr__(s, "_coeffs", coeffs)
+    object.__setattr__(s, "trunc_order", n)
 
 
-def _raw_mul(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]:
-    """Coefficients 0..n of a*b by Kronecker substitution.
+def _new(num: tuple, den: int, n: int) -> TruncSeries:
+    """The series num/den, which must already be canonical, with len(num) = n + 1."""
+    s = object.__new__(TruncSeries)
+    _init(s, num, den, n)
+    return s
 
-    a = A/da and b = B/db with integer vectors A, B.  Every coefficient of
-    A*B is at most max|A|*max|B|*min(len) in absolute value.  In slots of
-    w bits, a whole number of bytes with one bit to spare for the sign,
-    the product of the packed integers sum A_i 2^(w i) and
-    sum B_j 2^(w j) therefore holds the coefficients of A*B side by side.
-    Adding 2^(w-1) to every slot makes them all nonnegative, and the slots
-    are read back from the bytes of that sum.
+
+def _canon(num: Sequence[int], den: int) -> tuple[Sequence[int], int]:
+    """num/den divided by its content gcd(den, num[0], ..., num[-1])."""
+    g = math.gcd(den, *num)
+    if g == 1:
+        return num, den
+    return [a // g for a in num], den // g
+
+
+def _reduced(num: Sequence[int], den: int, n: int) -> TruncSeries:
+    """The series num/den, len(num) = n + 1, in canonical form."""
+    num, den = _canon(num, den)
+    return _new(tuple(num), den, n)
+
+
+def _add(a: TruncSeries, b: TruncSeries, sign: int) -> TruncSeries:
+    """a + sign*b on the common truncation, over lcm(da, db)."""
+    n = min(a.trunc_order, b.trunc_order)
+    da, db = a._den, b._den
+    g = math.gcd(da, db)
+    sa, sb = db // g, sign * (da // g)
+    return _reduced([x * sa + y * sb for x, y in zip(a._num[: n + 1], b._num)],
+                    da * sa, n)
+
+
+def _raw_mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """Coefficients 0..n of the product of the integer vectors a and b,
+    by Kronecker substitution.
+
+    Every coefficient of a*b is at most max|a|*max|b|*min(len) in absolute
+    value.  In slots of w bits, a whole number of bytes with one bit to
+    spare for the sign, the product of the packed integers sum a_i 2^(w i)
+    and sum b_j 2^(w j) therefore holds the coefficients of a*b side by
+    side.  Adding 2^(w-1) to every slot makes them all nonnegative, and the
+    slots are read back from the bytes of that sum.
     """
     a, b = a[: n + 1], b[: n + 1]
-    A, da = _int_vector(a)
-    B, db = _int_vector(b)
-    bound = max(map(abs, A), default=0) * max(map(abs, B), default=0)
+    bound = max(map(abs, a), default=0) * max(map(abs, b), default=0)
     if not bound:
-        return [Fraction(0)] * (n + 1)
-    nb = (bound * min(len(A), len(B))).bit_length() // 8 + 1  # bytes per slot
+        return [0] * (n + 1)
+    nb = (bound * min(len(a), len(b))).bit_length() // 8 + 1  # bytes per slot
     half = 1 << (8 * nb - 1)
     size = nb * (n + 1)
     bias = int.from_bytes(half.to_bytes(nb, "little") * (n + 1), "little")
-    c = (_pack(A, nb) * _pack(B, nb) + bias) & ((1 << (8 * size)) - 1)
+    c = (_pack(a, nb) * _pack(b, nb) + bias) & ((1 << (8 * size)) - 1)
     raw = c.to_bytes(size, "little")
-    d = da * db
-    return [
-        Fraction(int.from_bytes(raw[i : i + nb], "little") - half, d)
-        for i in range(0, size, nb)
-    ]
+    return [int.from_bytes(raw[i : i + nb], "little") - half for i in range(0, size, nb)]
 
 
-def _pack(v: list[int], nb: int) -> int:
+def _pack(v: Sequence[int], nb: int) -> int:
     """sum v[i] * 2^(8 nb i), for |v[i]| < 2^(8 nb)."""
     pos = b"".join((x if x > 0 else 0).to_bytes(nb, "little") for x in v)
     neg = b"".join((-x if x < 0 else 0).to_bytes(nb, "little") for x in v)
@@ -437,7 +490,7 @@ def _pack(v: list[int], nb: int) -> int:
 
 def _mul_at(a: TruncSeries, b: TruncSeries, n: int) -> TruncSeries:
     """Product truncated at a fixed working order n (no propagation logic)."""
-    return TruncSeries(_raw_mul(a.coeffs, b.coeffs, n), n)
+    return _reduced(_raw_mul(a._num, b._num, n), a._den * b._den, n)
 
 
 class Derivation:
@@ -477,8 +530,7 @@ def apply_derivation(v: Derivation, f: TruncSeries) -> TruncSeries:
 
 def j_map(b: TruncSeries) -> Derivation:
     """The right inverse of v |-> z*v(z): b |-> ((b - b(0)) / z) d/dz."""
-    n = max(b.trunc_order - 1, 0)
-    return Derivation(TruncSeries(b.coeffs[1:], n))
+    return Derivation(_reduced(b._num[1:] or (0,), b._den, max(b.trunc_order - 1, 0)))
 
 
 def lie_exp(v: Derivation, f: TruncSeries, sign: int = -1) -> TruncSeries:

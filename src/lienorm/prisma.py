@@ -27,7 +27,8 @@ from .power_series import fraction_str, num
 
 class LeavesDomainError(ValueError):
     """The base iteration leaves its domain: ``base_step`` from
-    s <= lambda*t, or a closed form whose trajectory reaches s_i <= 0."""
+    s <= lambda*t, or ``step``, ``iterate`` and the closed forms at the
+    first s_i <= 0."""
 
 
 class NonpositiveLimitError(ValueError):
@@ -100,12 +101,16 @@ def rho(t, s, lam):
 
 def step(state: PrismaState, cfg: IterConfig) -> PrismaState:
     """(t,s,x) -> (s, s - lam*(t-s), x^2 / (R s^k (t-s)^l)), and alpha
-    -> alpha + x when the state carries alpha."""
+    -> alpha + x when the state carries alpha; LeavesDomainError when the
+    new s is <= 0."""
     t, s, x = state.t, state.s, state.x
     lam = cfg.lam
+    s_next = s - lam * (t - s)
+    if not s_next > 0:
+        raise LeavesDomainError("prisma needs t > s > 0, got t=%s s=%s" % (s, s_next))
     x2 = x**2 / (cfg.R * s**cfg.k * (t - s) ** cfg.l)
     alpha = None if state.alpha is None else x + state.alpha
-    return PrismaState(s, s - lam * (t - s), x2, alpha)
+    return PrismaState(s, s_next, x2, alpha)
 
 
 def in_invariant_set(state: PrismaState, cfg: IterConfig) -> bool:
@@ -144,6 +149,19 @@ def _partial_rho_products(n: int, state0: PrismaState, cfg: IterConfig):
     return out
 
 
+def _check_s_n(n: int, state0: PrismaState, cfg: IterConfig) -> None:
+    """LeavesDomainError unless s_1, ..., s_n > 0, as _partial_rho_products.
+
+    s_i decreases strictly, so s_n > 0 decides it, and (1 - lam) s_n =
+    s0 - lam*t0 + lam^(n+1)*(t0 - s0) needs no walk.  Only when that
+    fails does the walk run, to name the first failing index."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    t0, s0, lam = state0.t, state0.s, cfg.lam
+    if not s0 - lam * t0 + lam ** (n + 1) * (t0 - s0) > 0:
+        _partial_rho_products(n, state0, cfg)
+
+
 def closed_form_xn(n: int, state0: PrismaState, cfg: IterConfig):
     """Exact unrolled solution of x_{i+1} = x_i^2 / (R s_i^k (t_i - s_i)^l):
 
@@ -163,14 +181,14 @@ def closed_form_xn(n: int, state0: PrismaState, cfg: IterConfig):
     every product; here squaring needs no gcd and every other product has
     one small operand.
     """
-    products = _partial_rho_products(n, state0, cfg)
     lam = cfg.lam
     K = cfg.R * state0.s**cfg.k * lam**cfg.l * (state0.t - state0.s) ** cfg.l
     q = state0.x / K
     if cfg.k == 0:
+        _check_s_n(n, state0, cfg)
         q = q ** (2**n)
     else:
-        for p in products[:-1]:
+        for p in _partial_rho_products(n, state0, cfg)[:-1]:
             q = q**2 / p**cfg.k
     return K * lam ** (cfg.l * n) * q
 
@@ -185,7 +203,11 @@ def closed_form_xn_bound(n: int, state0: PrismaState, cfg: IterConfig):
     has one small operand.  Raises as closed_form_xn does.
     """
     lam = cfg.lam
-    p_n = _partial_rho_products(n, state0, cfg)[-1]
+    if cfg.k == 0:
+        _check_s_n(n, state0, cfg)
+        p_n = rho(state0.t, state0.s, lam) ** 0  # p_n**k is 1, exact iff the data are
+    else:
+        p_n = _partial_rho_products(n, state0, cfg)[-1]
     K_n = (cfg.R * p_n**cfg.k * state0.s**cfg.k * lam**cfg.l
            * (state0.t - state0.s) ** cfg.l)
     return K_n * (state0.x / K_n) ** (2**n) * lam ** (cfg.l * n)

@@ -71,6 +71,16 @@ class TestNormalize:
         series = TruncSeries.from_dict(b0)
         assert series.to_dict() == b0
 
+    def test_negative_beta_in_every_spelling(self, capsys):
+        outs = set()
+        for beta in (["--beta", "-1/2"], ["--beta=-1/2"], ["--beta", "-0.5"]):
+            code, out, err = run_capture(capsys, "normalize", "--n", "4", *beta,
+                                         "--steps", "2")
+            assert (code, err) == (0, "")
+            outs.add(out)
+        (out,) = outs
+        assert json.loads(out)["rounds"][0]["b"]["coeffs"][4] == "-1/2"
+
 
 class TestCertify:
     def test_passing_certificate(self, capsys):
@@ -243,6 +253,12 @@ class TestNorms:
         assert code == 0
         assert json.loads(out)["nagumo_holds"] is True
 
+    def test_negative_coefficient_list(self, capsys):
+        spaced = run_capture(capsys, "norms", "nagumo", "--coeffs", "-1,0,1", "--s", "1/4")
+        joined = run_capture(capsys, "norms", "nagumo", "--coeffs=-1,0,1", "--s", "1/4")
+        assert spaced == joined
+        assert spaced[0] == 0 and "nagumo_holds" in json.loads(spaced[1])
+
     def test_borel_divergence_is_exit_one(self, capsys):
         code, out, _ = run_capture(capsys, "norms", "borel", "--x", "1")
         assert code == 1
@@ -291,6 +307,11 @@ class TestExitCodes:
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 2
 
+    def test_negative_value_after_a_flag_is_still_an_error(self, capsys):
+        code, out, err = run_capture(capsys, "normalize", "--stamp", "-1")
+        assert (code, out) == (2, "")
+        assert "--stamp" in err
+
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "out.json"
         code = run(["threshold", "--out", str(target)])
@@ -314,7 +335,9 @@ class TestExitCodes:
 
 
 # stdout, stderr and exit code of these runs, recorded before the prisma
-# exponent, the parametric flag and the definition-set domain S were removed
+# exponent, the parametric flag and the definition-set domain S were
+# removed; the normalize, morse-trace and nagumo cases were recorded
+# before series moved to integer numerators over one denominator
 GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
 
 

@@ -324,10 +324,6 @@ mixed_rationals = st.one_of(
     rationals,
     st.builds(F, st.integers(-(10**40), 10**40), st.integers(1, 10**30)),
 )
-operands = st.one_of(
-    st.lists(mixed_rationals, max_size=10),
-    st.lists(st.just(F(0)), max_size=10),
-)
 
 
 def schoolbook(a, b, n):
@@ -353,11 +349,20 @@ def horner_compose(f, g):
     return out, n
 
 
-@given(operands, operands, st.integers(min_value=0, max_value=22))
+# the product kernel's integer vectors: small and huge, signed, or all zero
+int_vectors = st.one_of(
+    st.lists(st.integers(-(10**70), 10**70), max_size=10),
+    st.lists(st.integers(-3, 3), max_size=10),
+    st.lists(st.just(0), max_size=10),
+)
+
+
+@given(int_vectors, int_vectors, st.integers(min_value=0, max_value=22))
 @settings(max_examples=200, deadline=None)
 def test_raw_mul_matches_schoolbook(a, b, n):
     got = _raw_mul(a, b, n)
     assert len(got) == n + 1
+    assert all(type(c) is int for c in got)
     assert got == schoolbook(a, b, n)
 
 
@@ -377,6 +382,7 @@ nonzero = mixed_rationals.filter(lambda x: x != 0)
 def assert_compose_matches_horner(f, g):
     got = f.compose(g)
     want, n = horner_compose(f, g)
+    assert_canonical(got)
     assert got.trunc_order == n
     assert list(got.coeffs) == want
 
@@ -410,3 +416,161 @@ def test_compose_at_working_order_zero(c, a, tail, m):
     g = _inner(1, a, tail, m)
     assert f.compose(g).trunc_order == 0
     assert_compose_matches_horner(f, g)
+
+
+# -- the integer representation against plain Fraction references -------
+#
+# A reference series is a pair (list of Fractions, truncation order); each
+# reference operation works coefficient by coefficient and applies the
+# truncation rules that TruncSeries documents.
+
+
+def ref(f):
+    return [F(c) for c in f.coeffs], f.trunc_order
+
+
+def ref_eff_order(c, n):
+    return next((k for k, x in enumerate(c) if x), n + 1)
+
+
+def ref_add(a, b, sign=1):
+    (ca, na), (cb, nb) = a, b
+    n = min(na, nb)
+    return [ca[k] + sign * cb[k] for k in range(n + 1)], n
+
+
+def ref_scale(a, c):
+    return [c * x for x in a[0]], a[1]
+
+
+def ref_mul(a, b):
+    (ca, na), (cb, nb) = a, b
+    n = min(na + 1 + ref_eff_order(cb, nb), nb + 1 + ref_eff_order(ca, na)) - 1
+    return schoolbook(ca, cb, n), n
+
+
+def ref_derivative(a):
+    c, n = a
+    return [k * c[k] for k in range(1, n + 1)] or [F(0)], max(n - 1, 0)
+
+
+def ref_invert(f):
+    """The coefficient recursion from f(g) = z, g[m] solved from [z^m]."""
+    c, n = f
+    g = [F(0)] * (n + 1)
+    g[1] = 1 / c[1]
+    for m in range(2, n + 1):
+        acc, power = [F(0)] * (m + 1), g[: m + 1]
+        for k in range(1, m + 1):
+            if k > 1:
+                power = schoolbook(power, g[: m + 1], m)
+            acc = [x + c[k] * y for x, y in zip(acc, power)]
+        g[m] = -acc[m] / c[1]
+    return g, n
+
+
+def ref_binomial_pow(f, e):
+    """sum_k C(e, k) u^k, u = f - 1, at f's truncation order."""
+    c, n = f
+    u = [F(0)] + c[1:]
+    out = term = [F(1)] + [F(0)] * n
+    coef = F(1)
+    for k in range(1, n + 1):
+        coef = coef * (e - (k - 1)) / k
+        term = schoolbook(term, u, n)
+        out = [x + coef * y for x, y in zip(out, term)]
+    return out, n
+
+
+def ref_lie_exp(v, f, sign):
+    total = term = f
+    k = fact = 1
+    while True:
+        term = ref_mul(v, ref_derivative(term))
+        if ref_eff_order(*term) > total[1]:
+            return total
+        total = ref_add(total, ref_scale(term, F(sign**k, fact)))
+        k += 1
+        fact *= k
+
+
+def assert_canonical(s):
+    """(_num, _den) is canonical and coeffs are the Fractions it stands for."""
+    num, den = s._num, s._den
+    assert len(num) == len(s.coeffs) == s.trunc_order + 1
+    assert all(type(a) is int for a in num)
+    assert den > 0 and math.gcd(den, *num) == 1
+    assert den == math.lcm(*(c.denominator for c in s.coeffs))
+    assert all(type(c) is F for c in s.coeffs)
+    assert list(s.coeffs) == [F(a, den) for a in num]
+
+
+def assert_is(got, want):
+    assert_canonical(got)
+    assert (list(got.coeffs), got.trunc_order) == want
+
+
+@given(outer_series, outer_series, mixed_rationals)
+@settings(max_examples=100, deadline=None)
+def test_linear_operations_match_fraction_reference(f, g, c):
+    assert_canonical(f)
+    a, b = ref(f), ref(g)
+    assert_is(f + g, ref_add(a, b))
+    assert_is(f - g, ref_add(a, b, -1))
+    assert_is(-f, ref_scale(a, F(-1)))
+    constant = ([c] + [F(0)] * a[1], a[1])
+    assert_is(f + c, ref_add(a, constant))
+    assert_is(c - f, ref_add(constant, a, -1))
+    assert_is(f.scale(c), ref_scale(a, c))
+    assert_is(f.derivative(), ref_derivative(a))
+    assert_is(f.nabla(), ([k * x for k, x in enumerate(a[0])], a[1]))
+    n = min(a[1], b[1])
+    assert_is(f.hadamard(g), ([a[0][k] * b[0][k] for k in range(n + 1)], n))
+    assert_is(j_map(f).v, (a[0][1:] or [F(0)], max(a[1] - 1, 0)))
+    assert f.order == next((k for k, x in enumerate(a[0]) if x), math.inf)
+    assert (f == g) == (a[0][: n + 1] == b[0][: n + 1])
+    assert f == TruncSeries(a[0]) and f.truncate(n) == f
+
+
+@given(outer_series, outer_series, st.integers(min_value=0, max_value=5))
+@settings(max_examples=80, deadline=None)
+def test_products_match_fraction_reference(f, g, k):
+    a, b = ref(f), ref(g)
+    assert_is(f * g, ref_mul(a, b))
+    want = ([F(1)] + [F(0)] * a[1], a[1])
+    base = a
+    for bit in bin(k)[:1:-1]:  # the square-and-multiply order of __pow__
+        if bit == "1":
+            want = ref_mul(want, base)
+        base = ref_mul(base, base)
+    assert_is(f**k, want)
+
+
+@given(st.lists(mixed_rationals, min_size=1, max_size=8), nonzero)
+@settings(max_examples=60, deadline=None)
+def test_invert_matches_coefficient_recursion(tail, f1):
+    f = TruncSeries([F(0), f1] + tail)
+    assert_is(f.invert(), ref_invert(ref(f)))
+
+
+@given(st.lists(rationals, max_size=8), rationals)
+@settings(max_examples=60, deadline=None)
+def test_binomial_pow_matches_binomial_series(tail, e):
+    f = TruncSeries([F(1)] + tail)
+    assert_is(f.binomial_pow(e), ref_binomial_pow(ref(f), e))
+
+
+@given(st.lists(mixed_rationals, max_size=5), outer_series, st.sampled_from([1, -1]))
+@settings(max_examples=60, deadline=None)
+def test_lie_exp_matches_fraction_reference(vtail, f, sign):
+    v = TruncSeries([F(0), F(0)] + vtail, 9)
+    assert_is(lie_exp(Derivation(v), f, sign), ref_lie_exp(ref(v), ref(f), sign))
+
+
+def test_canonical_pair_examples():
+    f = series([F(1, 6), F(-1, 4), 0])
+    assert (f._num, f._den) == ((2, -3, 0), 12)
+    assert (f.nabla()._num, f.nabla()._den) == ((0, -1, 0), 4)
+    zero = f - f
+    assert (zero._num, zero._den) == ((0, 0, 0), 1)
+    assert all(type(c) is F for c in TruncSeries([1, 2]).coeffs)

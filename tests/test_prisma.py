@@ -219,7 +219,7 @@ class TestRandomizedExactness:
             n = rng.randint(0, 6)
             try:
                 x_n = iterate(state, cfg, n)[-1].x
-            except ValueError:
+            except LeavesDomainError:
                 raised += 1
                 for form in (closed_form_xn, closed_form_xn_bound):
                     with pytest.raises(LeavesDomainError):
@@ -239,11 +239,22 @@ class TestRandomizedExactness:
         state = PrismaState(F(1), F(1, 2), F(1, 16))
         cfg = IterConfig(R=F(1), k=1, l=1, lam=F(3, 4))
         assert closed_form_xn(1, state, cfg) == iterate(state, cfg, 1)[-1].x
-        with pytest.raises(ValueError):
+        with pytest.raises(LeavesDomainError, match=r"t > s > 0, got t=1/8 s=-5/32"):
             iterate(state, cfg, 2)
         for n in (2, 3):
             for form in (closed_form_xn, closed_form_xn_bound):
                 with pytest.raises(LeavesDomainError):
+                    form(n, state, cfg)
+
+    def test_pole_free_closed_forms_name_the_first_index_that_leaves(self):
+        # k = 0 decides the domain from s_n alone; the message still names
+        # the first i with s_i <= 0 (s_2 = -5/32 here)
+        state = PrismaState(F(1), F(1, 2), F(1, 16))
+        cfg = IterConfig(R=F(1), k=0, l=1, lam=F(3, 4))
+        for form in (closed_form_xn, closed_form_xn_bound):
+            assert form(1, state, cfg) == iterate(state, cfg, 1)[-1].x
+            for n in (2, 3, 9):
+                with pytest.raises(LeavesDomainError, match=r"^s_2 <= 0"):
                     form(n, state, cfg)
 
     def test_gap_contracts_exactly(self):
