@@ -337,7 +337,8 @@ class TestExitCodes:
 # stdout, stderr and exit code of these runs, recorded before the prisma
 # exponent, the parametric flag and the definition-set domain S were
 # removed; the normalize, morse-trace and nagumo cases were recorded
-# before series moved to integer numerators over one denominator
+# before series moved to integer numerators over one denominator; the
+# plot-grid cases were recorded before the objectives became row kernels
 GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
 
 
