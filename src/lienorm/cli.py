@@ -70,7 +70,21 @@ def _add_common(p, csv_ok=True):
                    help="attach run metadata outside the data body")
 
 
+# Size budget of the formal trace.  Each step doubles the truncation order
+# 2^(steps+1) + 4, and the exact work grows faster than the order: at
+# --steps 7 (order 260) morse-trace already runs for tens of seconds.
+MAX_STEPS = 7
+MAX_ORDER = normalform.default_trunc_order(MAX_STEPS)
+
+
 def _cmd_normalize(args):
+    if args.steps > MAX_STEPS:
+        raise ValueError("--steps %d is over the budget of %d (the truncation "
+                         "order 2^(steps+1)+4 doubles with each step)"
+                         % (args.steps, MAX_STEPS))
+    if args.order is not None and args.order > MAX_ORDER:
+        raise ValueError("--order %d is over the budget of %d"
+                         % (args.order, MAX_ORDER))
     order = args.order if args.order is not None else normalform.default_trunc_order(args.steps)
     if args.n > order:
         raise ValueError("perturbation exponent %d exceeds order %d" % (args.n, order))

@@ -7,7 +7,9 @@ and maximizes the resulting e*t_inf.  Both optimizers are deterministic
 and run one pipeline (``_maximize``):
 
 1. a coarse grid scan over the triangle 0 < lambda < mu < 1, unless a
-   start is given;
+   start is given.  It evaluates one lambda row at a time through the
+   objective's row kernel (``_grid_scan``), and the first point with
+   the largest value seeds the simplex, as in a point-by-point scan;
 2. Nelder-Mead from the best grid point (``minimize``, a pure-Python
    port of the simplex scipy runs, doing the same float operations, so
    results match scipy's bit for bit without importing it);
@@ -79,6 +81,22 @@ def _check_triangle(lam, mu):
         raise ValueError("need 0 < lambda < mu < 1, got (%s, %s)" % (lam, mu))
 
 
+# Each objective is written once, as a row kernel: one lambda against the
+# list of mu values of a grid row.  Factors of lambda alone are computed
+# once per row; every other operation keeps the left-to-right order of
+# the formula, so a value does not depend on the row it is computed in.
+# The kernels skip the domain check; the public pointwise functions
+# check and then evaluate a one-point row.  A row is all real or all
+# complex (a complex step evaluates one-point rows), so its first value
+# decides between math and cmath.
+
+
+def _F_basic_row(lam, mus):
+    one_plus, lam2, one_minus = 1 + lam, lam**2, 1 - lam
+    return [(one_plus - lam / mu) * lam2 * (1 - mu) ** 2 / (2 * mu)
+            * (mu - lam) / one_minus for mu in mus]
+
+
 def F_basic(lam, mu):
     """(1 + lam - lam/mu) lam^2 (1-mu)^2 / (2 mu) * (mu-lam)/(1-lam).
 
@@ -86,24 +104,36 @@ def F_basic(lam, mu):
     Accepts complex arguments so gradients can be taken by complex step.
     """
     _check_triangle(lam, mu)
-    rho = 1 + lam - lam / mu
-    return rho * lam**2 * (1 - mu) ** 2 / (2 * mu) * (mu - lam) / (1 - lam)
+    return _F_basic_row(lam, (mu,))[0]
+
+
+def _solve_r_row(nus):
+    if isinstance(nus[0], complex):
+        sqrt = cmath.sqrt
+    elif min(nus) <= 0:
+        raise ValueError("need nu > 0")
+    else:
+        sqrt = math.sqrt
+    return [(1 + 2 * nu - sqrt(1 + 4 * nu)) / (2 * nu) for nu in nus]
 
 
 def solve_r(nu):
     """Root in (0, 1) of r/(1-r)^2 = nu: r = (1 + 2 nu - sqrt(1+4 nu))/(2 nu)."""
-    if isinstance(nu, complex):
-        return (1 + 2 * nu - cmath.sqrt(1 + 4 * nu)) / (2 * nu)
-    if nu <= 0:
-        raise ValueError("need nu > 0")
-    return (1 + 2 * nu - math.sqrt(1 + 4 * nu)) / (2 * nu)
+    return _solve_r_row((nu,))[0]
 
 
-def _equal_bound_r(lam, mu):
+def _equal_bound_r_row(lam, mus):
     """The r that balances the two certificate inequalities:
-    r/(1-r)^2 = 2 rho lam^2 mu (1-mu)."""
-    rho = 1 + lam - lam / mu
-    return solve_r(2 * rho * lam**2 * mu * (1 - mu))
+    r/(1-r)^2 = 2 rho lam^2 mu (1-mu) with rho = 1 + lam - lam/mu."""
+    one_plus, lam2 = 1 + lam, lam**2
+    return _solve_r_row([2 * (one_plus - lam / mu) * lam2 * mu * (1 - mu)
+                         for mu in mus])
+
+
+def _equalized_row(lam, mus):
+    one_minus = 1 - lam
+    return [r * (1 - mu) / mu**2 * (mu - lam) / one_minus
+            for r, mu in zip(_equal_bound_r_row(lam, mus), mus)]
 
 
 def equalized_objective(lam, mu):
@@ -113,8 +143,7 @@ def equalized_objective(lam, mu):
     value is again e*t_inf.
     """
     _check_triangle(lam, mu)
-    r = _equal_bound_r(lam, mu)
-    return r * (1 - mu) / mu**2 * (mu - lam) / (1 - lam)
+    return _equalized_row(lam, (mu,))[0]
 
 
 def true_radius(n: int, beta) -> float:
@@ -127,23 +156,34 @@ def true_radius(n: int, beta) -> float:
     return (1.0 / (n * beta)) ** (1.0 / (n - 2)) * math.sqrt(1.0 - 2.0 / n)
 
 
+def _t_inf_row(n, lam, mus, beta):
+    eb, power, one_minus = E * beta, 1.0 / (n - 2), 1 - lam
+    return [(r * (1 - mu) / (eb * mu)) ** power * (mu - lam) / (mu * one_minus)
+            for r, mu in zip(_equal_bound_r_row(lam, mus), mus)]
+
+
 def certified_t_inf(n: int, lam, mu, beta=1.0):
     """(r(1-mu)/(e beta mu))^(1/(n-2)) * (mu-lam)/(mu(1-lam)) with the
     equal-bound r."""
     if n < 3:
         raise ValueError("need n >= 3")
     _check_triangle(lam, mu)
-    r = _equal_bound_r(lam, mu)
-    base = r * (1 - mu) / (E * beta * mu)
-    return base ** (1.0 / (n - 2)) * (mu - lam) / (mu * (1 - lam))
+    return _t_inf_row(n, lam, (mu,), beta)[0]
+
+
+def _q_row(n, lam, mus):
+    radius = true_radius(n, 1.0)
+    tinfs = _t_inf_row(n, lam, mus, 1.0)
+    real = not isinstance(tinfs[0], complex)
+    return [math.inf if real and t <= 0 else radius / t for t in tinfs]
 
 
 def q_value(n: int, lam, mu):
     """Q = true_radius / certified_t_inf; independent of beta."""
-    tinf = certified_t_inf(n, lam, mu, 1.0)
-    if not isinstance(tinf, complex) and tinf <= 0:
-        return math.inf
-    return true_radius(n, 1.0) / tinf
+    if n < 3:
+        raise ValueError("need n >= 3")
+    _check_triangle(lam, mu)
+    return _q_row(n, lam, (mu,))[0]
 
 
 # -- deterministic maximization ----------------------------------------
@@ -275,23 +315,33 @@ def _linspace(start, stop, num):
     return [i * step + start for i in range(num - 1)] + [stop]
 
 
-def _grid_scan(f, resolution=200):
+def _grid_scan(row, resolution=200):
+    """The first grid point (lambda-major order) with the largest value.
+
+    ``row(lam, mus)`` evaluates one lambda against the mu values of its
+    row; each row's first maximum competes with the best of the earlier
+    rows, and only a strictly larger one replaces it, so ties go to the
+    first point as in a point-by-point scan.
+    """
     best = None
     for lam in _linspace(1e-3, 0.999, resolution):
-        for mu in _linspace(lam + 1e-3, 0.999, resolution):
-            if not 0 < lam < mu < 1:
-                continue
-            val = f(lam, mu)
-            if best is None or val > best[0]:
-                best = (val, lam, mu)
+        mus = [mu for mu in _linspace(lam + 1e-3, 0.999, resolution)
+               if 0 < lam < mu < 1]
+        if not mus:
+            continue
+        vals = row(lam, mus)
+        top = max(vals)
+        if best is None or top > best[0]:
+            best = (top, lam, mus[vals.index(top)])
     return best[1], best[2]
 
 
-def _maximize(f, start=None, resolution=200, xatol=1e-10):
-    """Grid scan (unless a start is given), Nelder-Mead, then Newton.
+def _maximize(f, row, start=None, resolution=200, xatol=1e-10):
+    """Grid scan of the row kernel ``row`` (unless a start is given), then
+    Nelder-Mead and Newton on the pointwise ``f``.
     Returns (x, gradient norm, iterations)."""
     if start is None:
-        start = _grid_scan(f, resolution)
+        start = _grid_scan(row, resolution)
     guarded = lambda p: (-f(p[0], p[1])
                          if 0 < p[0] < p[1] < 1 else math.inf)
     res = minimize(guarded, start, xatol=xatol, fatol=1e-13,
@@ -307,15 +357,15 @@ def maximize_basic(start=None) -> OptResult:
     lambda = 8 mu^2 + 2 mu - 4; those identities are left to the tests,
     the optimizer itself never uses them.
     """
-    x, gnorm, nit = _maximize(F_basic, start)
+    x, gnorm, nit = _maximize(F_basic, _F_basic_row, start)
     val = F_basic(*x)
     return OptResult(x[0], x[1], None, val, val / E, nit, gnorm)
 
 
 def maximize_equalized(start=None) -> OptResult:
-    x, gnorm, nit = _maximize(equalized_objective, start)
+    x, gnorm, nit = _maximize(equalized_objective, _equalized_row, start)
     val = equalized_objective(*x)
-    r = _equal_bound_r(x[0], x[1])
+    r = _equal_bound_r_row(x[0], (x[1],))[0]
     return OptResult(x[0], x[1], r, val, val / E, nit, gnorm)
 
 
@@ -324,7 +374,8 @@ def minimize_q(n: int, start=None) -> QRow:
     if n < 3:
         raise ValueError("need n >= 3")
     f = lambda lam, mu: -q_value(n, lam, mu)
-    x, _, _ = _maximize(f, start, 120, xatol=1e-11)
+    row = lambda lam, mus: [-q for q in _q_row(n, lam, mus)]
+    x, _, _ = _maximize(f, row, start, 120, xatol=1e-11)
     lam, mu = float(x[0]), float(x[1])
     tinf = certified_t_inf(n, lam, mu, 1.0)
     return QRow(n, lam, mu, true_radius(n, 1.0) / tinf, true_radius(n, 1.0), tinf)

@@ -122,6 +122,11 @@ class TruncSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through _new; the default restore of slot
+        # state would go through the blocking __setattr__
+        return _new, (self._num, self._den, self.trunc_order)
+
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         cs = self._coeffs
@@ -503,6 +508,9 @@ class Derivation:
 
     def __setattr__(self, name, value):
         raise AttributeError("Derivation is immutable")
+
+    def __reduce__(self):
+        return Derivation, (self.v,)
 
     @classmethod
     def zero(cls, trunc_order: int) -> "Derivation":

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from lienorm import normalform
 from lienorm.cli import run
 
 
@@ -311,6 +312,18 @@ class TestExitCodes:
         code, out, err = run_capture(capsys, "normalize", "--stamp", "-1")
         assert (code, out) == (2, "")
         assert "--stamp" in err
+
+    # only values just past each cap: a capped case runs for tens of seconds
+    @pytest.mark.parametrize("command", ["normalize", "morse-trace"])
+    @pytest.mark.parametrize("flag, value", [("--steps", "8"), ("--order", "261")])
+    def test_formal_size_budget_is_exit_two(self, capsys, monkeypatch,
+                                            command, flag, value):
+        def no_series(*args):
+            raise AssertionError("series built")
+        monkeypatch.setattr(normalform, "quadratic_normal_form", no_series)
+        code, out, err = run_capture(capsys, command, flag, value)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: %s %s is over the budget of " % (flag, value))
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "out.json"

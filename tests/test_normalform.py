@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -67,6 +68,12 @@ class TestFormalIteration:
         assert b4.order == 18
         assert b4[18] == F(-295245, 16)
         assert tr[4].f[2] == F(1, 2)
+
+    def test_trace_pickles(self):
+        tr = morse_trace(2)
+        back = pickle.loads(pickle.dumps(tr))
+        assert back == tr
+        assert back.to_dict() == tr.to_dict()
 
     def test_order_doubling(self):
         tr = morse_trace(4, order=18)

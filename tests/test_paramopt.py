@@ -1,3 +1,4 @@
+import cmath
 import math
 import os
 import random
@@ -224,6 +225,138 @@ def _nan_beyond(x):
 
 def _q_for(n):
     return lambda lam, mu: -q_value(n, lam, mu)
+
+
+# The pointwise formulas as written before the objectives became row
+# kernels; every kernel value must equal them to the bit.
+def _ref_solve_r(nu):
+    if isinstance(nu, complex):
+        return (1 + 2 * nu - cmath.sqrt(1 + 4 * nu)) / (2 * nu)
+    return (1 + 2 * nu - math.sqrt(1 + 4 * nu)) / (2 * nu)
+
+
+def _ref_r(lam, mu):
+    rho = 1 + lam - lam / mu
+    return _ref_solve_r(2 * rho * lam**2 * mu * (1 - mu))
+
+
+def _ref_basic(lam, mu):
+    rho = 1 + lam - lam / mu
+    return rho * lam**2 * (1 - mu) ** 2 / (2 * mu) * (mu - lam) / (1 - lam)
+
+
+def _ref_equalized(lam, mu):
+    r = _ref_r(lam, mu)
+    return r * (1 - mu) / mu**2 * (mu - lam) / (1 - lam)
+
+
+def _ref_t_inf(n, lam, mu, beta):
+    base = _ref_r(lam, mu) * (1 - mu) / (E * beta * mu)
+    return base ** (1.0 / (n - 2)) * (mu - lam) / (mu * (1 - lam))
+
+
+def _ref_q(n, lam, mu):
+    tinf = _ref_t_inf(n, lam, mu, 1.0)
+    if not isinstance(tinf, complex) and tinf <= 0:
+        return math.inf
+    return true_radius(n, 1.0) / tinf
+
+
+KERNELS = {
+    "basic": (paramopt._F_basic_row, _ref_basic),
+    "equalized": (paramopt._equalized_row, _ref_equalized),
+    "r": (paramopt._equal_bound_r_row, _ref_r),
+    "t_inf n=5 beta=3/2": (lambda lam, mus: paramopt._t_inf_row(5, lam, mus, 1.5),
+                           lambda lam, mu: _ref_t_inf(5, lam, mu, 1.5)),
+    "Q n=3": (lambda lam, mus: paramopt._q_row(3, lam, mus),
+              lambda lam, mu: _ref_q(3, lam, mu)),
+    "Q n=400": (lambda lam, mus: paramopt._q_row(400, lam, mus),
+                lambda lam, mu: _ref_q(400, lam, mu)),
+}
+
+
+def _grid_row(lam, resolution):
+    return [mu for mu in paramopt._linspace(lam + 1e-3, 0.999, resolution)
+            if 0 < lam < mu < 1]
+
+
+def _bits(values):
+    return [repr(v) for v in values]
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_row_kernel_equals_pointwise_formula_on_grid_rows(name):
+    row, ref = KERNELS[name]
+    lams = paramopt._linspace(1e-3, 0.999, 200)
+    for lam in (lams[0], lams[57], lams[120], lams[197]):
+        mus = _grid_row(lam, 200)
+        assert _bits(row(lam, mus)) == _bits([ref(lam, mu) for mu in mus])
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_row_kernel_equals_pointwise_formula_at_complex_steps(name):
+    row, ref = KERNELS[name]
+    rng = random.Random(31)
+    for _ in range(50):
+        lam = rng.uniform(0.01, 0.9)
+        mu = rng.uniform(lam + 0.005, 0.995)
+        for a, b in ((complex(lam, 1e-20), mu), (lam, complex(mu, 1e-20))):
+            assert _bits(row(a, [b])) == _bits([ref(a, b)])
+
+
+def _pointwise_scan(f, resolution):
+    """The grid scan point by point: the first strict maximum wins."""
+    best = None
+    for lam in paramopt._linspace(1e-3, 0.999, resolution):
+        for mu in paramopt._linspace(lam + 1e-3, 0.999, resolution):
+            if not 0 < lam < mu < 1:
+                continue
+            val = f(lam, mu)
+            if best is None or val > best[0]:
+                best = (val, lam, mu)
+    return best[1], best[2]
+
+
+def _negated(row):
+    return lambda lam, mus: [-v for v in row(lam, mus)]
+
+
+SCANS = [
+    ("basic", paramopt._F_basic_row, F_basic, 200),
+    ("equalized", paramopt._equalized_row, equalized_objective, 200),
+] + [
+    ("Q n=%d" % n, _negated(lambda lam, mus, n=n: paramopt._q_row(n, lam, mus)),
+     _q_for(n), 120)
+    for n in (3, 7, 400)
+]
+
+
+@pytest.mark.parametrize("row, f, resolution", [s[1:] for s in SCANS],
+                         ids=[s[0] for s in SCANS])
+def test_grid_scan_seed_equals_pointwise_scan(row, f, resolution):
+    assert paramopt._grid_scan(row, resolution) == _pointwise_scan(f, resolution)
+
+
+TIES = {
+    # every point ties: the first point of the first row
+    "constant": lambda lam, mu: 1.0,
+    "minus infinity": lambda lam, mu: -math.inf,
+    # each row has many maxima, every row the same value
+    "step in mu": lambda lam, mu: float(mu >= 0.5),
+    # the maximum first appears in a later row, and again after it
+    "step in lambda": lambda lam, mu: float(lam >= 0.4) + float(mu >= 0.8),
+}
+
+
+@pytest.mark.parametrize("name", TIES)
+def test_grid_scan_keeps_the_first_of_repeated_maxima(name):
+    f = TIES[name]
+    points = [(lam, mu) for lam in paramopt._linspace(1e-3, 0.999, 9)
+              for mu in _grid_row(lam, 9)]
+    top = max(f(*p) for p in points)
+    first = next(p for p in points if f(*p) == top)
+    row = lambda lam, mus: [f(lam, mu) for mu in mus]
+    assert paramopt._grid_scan(row, 9) == first
 
 
 # the options _maximize passes; minimize_q tightens xatol to 1e-11

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -230,6 +232,19 @@ class TestSerialization:
     def test_fraction_strings(self):
         d = TruncSeries.monomial(1, 1, F(-295245, 16)).to_dict()
         assert d["coeffs"][1] == "-295245/16"
+
+    @pytest.mark.parametrize("copier", [
+        lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_pickle_and_copy_rebuild_canonical(self, copier):
+        f = series([F(-295245, 16), F(1, 3), 7, 0], 4)
+        g = copier(f)
+        assert type(g) is TruncSeries and g == f
+        assert (g._num, g._den, g.trunc_order) == (f._num, f._den, f.trunc_order)
+        assert math.gcd(g._den, *g._num) == 1
+        assert g.coeffs == f.coeffs
+        v = Derivation(f)
+        assert copier(v) == v
 
 
 class TestNum:
