@@ -70,9 +70,8 @@ def _add_common(p, csv_ok=True):
                    help="attach run metadata outside the data body")
 
 
-# Size budget of the formal trace.  Each step doubles the truncation order
-# 2^(steps+1) + 4, and the exact work grows faster than the order: at
-# --steps 7 (order 260) morse-trace already runs for tens of seconds.
+# Size budget of the formal trace: each step doubles the truncation order
+# 2^(steps+1) + 4, and the exact work grows faster than the order.
 MAX_STEPS = 7
 MAX_ORDER = normalform.default_trunc_order(MAX_STEPS)
 

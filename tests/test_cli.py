@@ -313,7 +313,7 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "--stamp" in err
 
-    # only values just past each cap: a capped case runs for tens of seconds
+    # only values just past each cap: a case at the cap runs for seconds
     @pytest.mark.parametrize("command", ["normalize", "morse-trace"])
     @pytest.mark.parametrize("flag, value", [("--steps", "8"), ("--order", "261")])
     def test_formal_size_budget_is_exit_two(self, capsys, monkeypatch,
