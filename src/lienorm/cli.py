@@ -35,9 +35,12 @@ def _fraction(text: str) -> Fraction:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(p) for p in text.split(",") if p]
+        values = [int(p) for p in text.split(",") if p]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+    if not values:
+        raise argparse.ArgumentTypeError("empty list: %r" % text)
+    return values
 
 
 def _emit(document, args, table=None) -> str:

@@ -338,6 +338,13 @@ class TestExitCodes:
         assert err.startswith("error: need n >= 3")
         assert out == ""
 
+    @pytest.mark.parametrize("ns", [",", ""])
+    def test_qtable_empty_n_list_is_exit_two(self, capsys, ns):
+        code, out, err = run_capture(capsys, "qtable", "--n", ns)
+        assert code == 2
+        assert "argument --n: empty list" in err
+        assert out == ""
+
     def test_unwritable_output_is_exit_two(self, tmp_path, capsys):
         target = tmp_path / "missing" / "x.json"
         code, out, err = run_capture(capsys, "norms", "borel", "--out", str(target))

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from array import array
 
 import pytest
 
@@ -205,6 +206,7 @@ class TestQTable:
         def no_scan(*args):
             raise AssertionError("grid scan ran")
         monkeypatch.setattr(paramopt, "_grid_scan", no_scan)
+        monkeypatch.setattr(paramopt, "_q_grid", no_scan)
         for n in (0, 1, 2):
             with pytest.raises(ValueError, match="need n >= 3"):
                 minimize_q(n)
@@ -262,16 +264,19 @@ def _ref_q(n, lam, mu):
     return true_radius(n, 1.0) / tinf
 
 
+def _q_kernel(n):
+    return lambda lam, mus: paramopt._q_row(
+        true_radius(n, 1.0), paramopt._t_inf_row(n, lam, mus, 1.0))
+
+
 KERNELS = {
     "basic": (paramopt._F_basic_row, _ref_basic),
     "equalized": (paramopt._equalized_row, _ref_equalized),
     "r": (paramopt._equal_bound_r_row, _ref_r),
     "t_inf n=5 beta=3/2": (lambda lam, mus: paramopt._t_inf_row(5, lam, mus, 1.5),
                            lambda lam, mu: _ref_t_inf(5, lam, mu, 1.5)),
-    "Q n=3": (lambda lam, mus: paramopt._q_row(3, lam, mus),
-              lambda lam, mu: _ref_q(3, lam, mu)),
-    "Q n=400": (lambda lam, mus: paramopt._q_row(400, lam, mus),
-                lambda lam, mu: _ref_q(400, lam, mu)),
+    "Q n=3": (_q_kernel(3), lambda lam, mu: _ref_q(3, lam, mu)),
+    "Q n=400": (_q_kernel(400), lambda lam, mu: _ref_q(400, lam, mu)),
 }
 
 
@@ -304,6 +309,32 @@ def test_row_kernel_equals_pointwise_formula_at_complex_steps(name):
             assert _bits(row(a, [b])) == _bits([ref(a, b)])
 
 
+@pytest.mark.parametrize("n", [3, 7, 400])
+def test_stored_q_grid_finishes_to_the_pointwise_formula(n):
+    for lam, mus, bases in paramopt._q_grid(120):
+        assert _bits(paramopt._finish_row(n, lam, mus, bases)) == _bits(
+            [_ref_t_inf(n, lam, mu, 1.0) for mu in mus])
+
+
+def test_q_grid_is_stored_as_float_arrays():
+    for lam, mus, bases in paramopt._q_grid(120):
+        assert type(lam) is float
+        assert isinstance(mus, array) and mus.typecode == "d"
+        assert isinstance(bases, array) and bases.typecode == "d"
+
+
+def test_q_table_builds_the_q_grid_once():
+    paramopt._q_grid.cache_clear()
+    q_table(sorted(REFERENCE_TABLE))
+    assert paramopt._q_grid.cache_info().misses == 1
+
+
+def test_minimize_q_from_a_start_builds_no_grid():
+    paramopt._q_grid.cache_clear()
+    minimize_q(7, start=(0.2, 0.4))
+    assert paramopt._q_grid.cache_info().misses == 0
+
+
 def _pointwise_scan(f, resolution):
     """The grid scan point by point: the first strict maximum wins."""
     best = None
@@ -317,24 +348,22 @@ def _pointwise_scan(f, resolution):
     return best[1], best[2]
 
 
-def _negated(row):
-    return lambda lam, mus: [-v for v in row(lam, mus)]
+SCANS = {
+    "basic": (paramopt._F_basic_row, F_basic),
+    "equalized": (paramopt._equalized_row, equalized_objective),
+}
 
 
-SCANS = [
-    ("basic", paramopt._F_basic_row, F_basic, 200),
-    ("equalized", paramopt._equalized_row, equalized_objective, 200),
-] + [
-    ("Q n=%d" % n, _negated(lambda lam, mus, n=n: paramopt._q_row(n, lam, mus)),
-     _q_for(n), 120)
-    for n in (3, 7, 400)
-]
+@pytest.mark.parametrize("name", SCANS)
+def test_grid_scan_seed_equals_pointwise_scan(name):
+    row, f = SCANS[name]
+    assert (paramopt._grid_scan(row, paramopt._grid_rows(200))
+            == _pointwise_scan(f, 200))
 
 
-@pytest.mark.parametrize("row, f, resolution", [s[1:] for s in SCANS],
-                         ids=[s[0] for s in SCANS])
-def test_grid_scan_seed_equals_pointwise_scan(row, f, resolution):
-    assert paramopt._grid_scan(row, resolution) == _pointwise_scan(f, resolution)
+@pytest.mark.parametrize("n", sorted(REFERENCE_TABLE) + [400])
+def test_q_seed_equals_pointwise_scan(n):
+    assert paramopt._q_seed(n) == _pointwise_scan(_q_for(n), 120)
 
 
 TIES = {
@@ -356,7 +385,7 @@ def test_grid_scan_keeps_the_first_of_repeated_maxima(name):
     top = max(f(*p) for p in points)
     first = next(p for p in points if f(*p) == top)
     row = lambda lam, mus: [f(lam, mu) for mu in mus]
-    assert paramopt._grid_scan(row, 9) == first
+    assert paramopt._grid_scan(row, paramopt._grid_rows(9)) == first
 
 
 # the options _maximize passes; minimize_q tightens xatol to 1e-11
