@@ -14,62 +14,59 @@ Layers, bottom up:
   certified, plus convergence certificates.
 - :mod:`lienorm.paramopt`: certificate parameter optimization and the
   certified-vs-true radius tables.
+
+Loading is lazy (PEP 562): ``import lienorm`` imports none of these
+modules.  The first access to a public name, such as ``lienorm.lie_exp``,
+or to a module, such as ``lienorm.prisma``, imports the module that
+defines it.  A public name is looked up in its module on every access
+and never stored here, so a patch of ``lienorm.power_series.lie_exp``
+shows through ``lienorm.lie_exp`` and goes away with its undo.
 """
 
-from .power_series import (
-    CompositionDomainError,
-    Derivation,
-    InsufficientTruncationError,
-    NonTerminatingExponentialError,
-    NotInvertibleError,
-    TruncSeries,
-    apply_derivation,
-    j_map,
-    lie_exp,
-)
-from .disc_norms import (
-    LocalOpBound,
-    MajorantValue,
-    WeightSequence,
-    calibrate,
-    compose_local_bounds,
-    majorant_norm,
-    nagumo_check,
-    order_filtration_norm,
-)
-from .defsets import DefSet, convolve, defset_of_exponential, defset_of_product
-from .prisma import IterConfig, PrismaState, rapid_convergence_check
-from .normalform import (
-    Certificate,
-    LieTrace,
-    certify,
-    lie_iterate_certified,
-    lie_iterate_formal,
-    normalizer_series,
-    threshold_T0,
-)
-from .paramopt import (
-    OptResult,
-    QRow,
-    maximize_basic,
-    maximize_equalized,
-    q_table,
-    radius_oracle_series,
-    true_radius,
-)
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "TruncSeries", "Derivation", "apply_derivation", "j_map", "lie_exp",
-    "CompositionDomainError", "NotInvertibleError",
-    "NonTerminatingExponentialError", "InsufficientTruncationError",
-    "MajorantValue", "LocalOpBound", "WeightSequence", "majorant_norm",
-    "nagumo_check", "order_filtration_norm", "compose_local_bounds",
-    "calibrate", "DefSet", "convolve", "defset_of_exponential",
-    "defset_of_product", "PrismaState", "IterConfig",
-    "rapid_convergence_check", "LieTrace", "Certificate",
-    "lie_iterate_formal", "normalizer_series", "certify", "threshold_T0",
-    "lie_iterate_certified", "OptResult", "QRow", "maximize_basic",
-    "maximize_equalized", "q_table", "true_radius", "radius_oracle_series",
-]
+# each public name and the module that defines it
+_SOURCE = {
+    **dict.fromkeys([
+        "TruncSeries", "Derivation", "apply_derivation", "j_map", "lie_exp",
+        "CompositionDomainError", "NotInvertibleError",
+        "NonTerminatingExponentialError", "InsufficientTruncationError",
+    ], "power_series"),
+    **dict.fromkeys([
+        "MajorantValue", "LocalOpBound", "WeightSequence", "majorant_norm",
+        "nagumo_check", "order_filtration_norm", "compose_local_bounds",
+        "calibrate",
+    ], "disc_norms"),
+    **dict.fromkeys([
+        "DefSet", "convolve", "defset_of_exponential", "defset_of_product",
+    ], "defsets"),
+    **dict.fromkeys([
+        "PrismaState", "IterConfig", "rapid_convergence_check",
+    ], "prisma"),
+    **dict.fromkeys([
+        "LieTrace", "Certificate", "lie_iterate_formal", "normalizer_series",
+        "certify", "threshold_T0", "lie_iterate_certified",
+    ], "normalform"),
+    **dict.fromkeys([
+        "OptResult", "QRow", "maximize_basic", "maximize_equalized",
+        "q_table", "true_radius", "radius_oracle_series",
+    ], "paramopt"),
+}
+
+__all__ = list(_SOURCE)
+
+
+def __getattr__(name):
+    if name in _SOURCE.values():
+        # __import__, unlike importlib.import_module, shows in -X importtime
+        __import__(__name__ + "." + name)
+        return sys.modules[__name__ + "." + name]
+    if name in _SOURCE:
+        return getattr(__getattr__(_SOURCE[name]), name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SOURCE.values()})

@@ -5,7 +5,9 @@ optimization, the Q table, prisma trajectories, definition-set algebra,
 norm checks, and plot-grid dumps.  Exact fractions are accepted on the
 command line as "p/q" strings and emitted as the same strings in JSON;
 output is deterministic (identical invocations give identical bytes)
-unless --stamp adds run metadata outside the data body.
+unless --stamp adds run metadata outside the data body.  Each subcommand
+imports the library modules it uses when it runs, so a start loads no
+others.
 
 Exit codes: 0 success, 1 failed certificate or divergent bound (the
 document is still emitted with failure detail), 2 invalid input or an
@@ -21,9 +23,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-
-from . import defsets, disc_norms, normalform, paramopt, prisma
-from .power_series import TruncSeries
 
 
 def _fraction(text: str) -> Fraction:
@@ -76,17 +75,20 @@ def _add_common(p, csv_ok=True):
 # Size budget of the formal trace: each step doubles the truncation order
 # 2^(steps+1) + 4, and the exact work grows faster than the order.
 MAX_STEPS = 7
-MAX_ORDER = normalform.default_trunc_order(MAX_STEPS)
 
 
 def _cmd_normalize(args):
+    from . import normalform
+    from .power_series import TruncSeries
+
+    max_order = normalform.default_trunc_order(MAX_STEPS)
     if args.steps > MAX_STEPS:
         raise ValueError("--steps %d is over the budget of %d (the truncation "
                          "order 2^(steps+1)+4 doubles with each step)"
                          % (args.steps, MAX_STEPS))
-    if args.order is not None and args.order > MAX_ORDER:
+    if args.order is not None and args.order > max_order:
         raise ValueError("--order %d is over the budget of %d"
-                         % (args.order, MAX_ORDER))
+                         % (args.order, max_order))
     order = args.order if args.order is not None else normalform.default_trunc_order(args.steps)
     if args.n > order:
         raise ValueError("perturbation exponent %d exceeds order %d" % (args.n, order))
@@ -99,6 +101,8 @@ def _cmd_normalize(args):
 
 
 def _cmd_certify(args):
+    from . import normalform
+
     cert = normalform.certify(args.t0, args.lam, args.mu, args.r,
                               args.beta, args.n)
     doc = cert.to_dict()
@@ -116,6 +120,8 @@ def _cmd_certify(args):
 
 
 def _cmd_threshold(args):
+    from . import normalform
+
     t0 = normalform.threshold_T0(args.lam, args.mu, args.r, args.beta, args.n)
     lam, mu = float(args.lam), float(args.mu)
     doc = {"T0": t0, "t_inf": normalform.t_inf(lam, mu, t0),
@@ -125,6 +131,8 @@ def _cmd_threshold(args):
 
 
 def _cmd_optimize(args):
+    from . import paramopt
+
     if args.mode == "basic":
         res = paramopt.maximize_basic()
     else:
@@ -133,6 +141,8 @@ def _cmd_optimize(args):
 
 
 def _cmd_qtable(args):
+    from . import paramopt
+
     rows = paramopt.q_table(args.n)
     table = [["n", "lambda", "mu", "Q", "true_radius", "t_inf"]] + [
         [r.n, repr(r.lam), repr(r.mu), "%.3f" % r.Q,
@@ -143,6 +153,10 @@ def _cmd_qtable(args):
 
 
 def _cmd_prisma(args):
+    from . import prisma
+
+    if args.steps < 0:
+        raise ValueError("--steps must be >= 0")
     state = prisma.PrismaState(args.t, args.s, args.x, args.alpha)
     cfg = prisma.IterConfig(R=args.R, k=args.k, l=args.l, lam=args.lam)
     # x_n has about 2^n times x_0's digits: stop at the first step str() refuses
@@ -164,6 +178,8 @@ def _cmd_prisma(args):
 
 
 def _parse_boundary(text: str) -> defsets.DefSet:
+    from . import defsets
+
     if text == "closed-diagonal":
         return defsets.DefSet.closed_subdiagonal()
     if text == "diagonal":
@@ -172,6 +188,8 @@ def _parse_boundary(text: str) -> defsets.DefSet:
 
 
 def _cmd_defset(args):
+    from . import defsets
+
     A = _parse_boundary(args.set)
     if args.action == "contains":
         if args.t is None or args.s is None:
@@ -185,6 +203,8 @@ def _cmd_defset(args):
         return defsets.convolve(A, B).to_dict(), 0
     # idempotent check on a uniform grid
     n = args.grid
+    if n < 1:
+        raise ValueError("--grid must be >= 1")
     pts = [((i + 1) / n, (j + 1) / n)
            for i in range(n) for j in range(n)]
     ok = A.is_idempotent_on_grid(pts)
@@ -192,6 +212,9 @@ def _cmd_defset(args):
 
 
 def _cmd_norms(args):
+    from . import disc_norms
+    from .power_series import TruncSeries
+
     if args.check == "nagumo":
         coeffs = [Fraction(c) for c in args.coeffs.split(",")]
         f = TruncSeries(coeffs)
@@ -207,6 +230,8 @@ def _cmd_norms(args):
     lam = disc_norms.WeightSequence("geometric")
     mu = disc_norms.WeightSequence("geometric", a=args.mu_power)
     n = args.grid
+    if n < 1:
+        raise ValueError("--grid must be >= 1")
     grid = [((i + 1) / (n + 1) * (j + 2) / (n + 2), (j + 2) / (n + 2))
             for i in range(n) for j in range(n)]
     grid = [(s, t) for s, t in grid if 0 < s < t <= 1]
@@ -215,6 +240,8 @@ def _cmd_norms(args):
 
 
 def _cmd_plot_grid(args):
+    from . import paramopt
+
     if args.resolution < 2:
         raise ValueError("resolution must be >= 2")
     f = paramopt.F_basic if args.objective == "basic" else paramopt.equalized_objective
@@ -365,9 +392,6 @@ def run(argv=None) -> int:
         doc, code, *table = args.func(args)
         _write(_emit(doc, args, *table), args)
         return code
-    except normalform.DivergenceError as exc:
-        print("divergence: %s" % exc, file=sys.stderr)
-        return 1
     except (ValueError, TypeError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -325,6 +325,18 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error: %s %s is over the budget of " % (flag, value))
 
+    # a grid with no point and a negative step count check nothing
+    @pytest.mark.parametrize("argv", [
+        ["defset", "idempotent", "--set", "diagonal", "--grid", "0"],
+        ["defset", "idempotent", "--set", "diagonal", "--grid", "-3"],
+        ["norms", "lambda-p", "--grid", "0"],
+        ["prisma", "--t", "1/2", "--s", "1/4", "--x", "1/8", "--steps", "-2"],
+    ])
+    def test_empty_check_is_exit_two(self, capsys, argv):
+        code, out, err = run_capture(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: %s must be >= " % argv[-2])
+
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "out.json"
         code = run(["threshold", "--out", str(target)])

@@ -1,0 +1,78 @@
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import lienorm
+
+SRC = os.path.dirname(os.path.dirname(lienorm.__file__))
+MODULES = ["power_series", "disc_norms", "defsets", "prisma", "normalform", "paramopt"]
+
+
+def loaded_by(code, *argv):
+    """The lienorm modules a fresh interpreter holds after running code."""
+    code += ("\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'lienorm'),"
+             " file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", "import sys\n" + code, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+def test_import_loads_no_submodule():
+    assert loaded_by("import lienorm") == {"lienorm"}
+    assert loaded_by("import lienorm.cli") == {"lienorm", "lienorm.cli"}
+
+
+# each subcommand's argv and the library modules it must load
+SUBCOMMANDS = [
+    (["qtable", "--n", "3"], ["paramopt"]),
+    (["optimize", "--mode", "basic"], ["paramopt"]),
+    (["plot-grid", "--resolution", "3"], ["paramopt"]),
+    (["prisma", "--t", "1/2", "--s", "1/4", "--x", "1/8", "--steps", "3"],
+     ["power_series", "prisma"]),
+    (["defset", "idempotent", "--set", "diagonal", "--grid", "2"],
+     ["power_series", "defsets"]),
+    (["norms", "lambda-p", "--grid", "2"], ["power_series", "disc_norms"]),
+    (["threshold"], ["power_series", "disc_norms", "prisma", "normalform"]),
+    (["qtable", "--n", "3,x"], []),  # an argparse error
+]
+
+
+@pytest.mark.parametrize("argv, modules", SUBCOMMANDS,
+                         ids=[" ".join(argv) for argv, _ in SUBCOMMANDS])
+def test_subcommand_loads_only_its_modules(argv, modules):
+    got = loaded_by("import lienorm.cli\nlienorm.cli.run(sys.argv[1:])", *argv)
+    assert got == {"lienorm", "lienorm.cli", *("lienorm." + m for m in modules)}
+
+
+def test_public_names_are_their_modules_objects():
+    for name in lienorm.__all__:
+        obj = getattr(lienorm, name)
+        assert getattr(importlib.import_module(obj.__module__), name) is obj
+
+
+def test_star_import_binds_all():
+    namespace = {}
+    exec("from lienorm import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(lienorm.__all__)
+
+
+def test_dir_lists_names_and_modules():
+    assert set(lienorm.__all__) | set(MODULES) <= set(dir(lienorm))
+    assert all(getattr(lienorm, m).__name__ == "lienorm." + m for m in MODULES)
+
+
+def test_unknown_attribute_is_named():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        lienorm.no_such_name
+
+
+def test_patched_name_shows_through_and_undoes(monkeypatch):
+    original = lienorm.power_series.lie_exp
+    monkeypatch.setattr(lienorm.power_series, "lie_exp", len)
+    assert lienorm.lie_exp is len
+    monkeypatch.undo()
+    assert lienorm.lie_exp is original
