@@ -81,6 +81,8 @@ def _cmd_normalize(args):
     from . import normalform
     from .power_series import TruncSeries
 
+    if args.steps < 0:
+        raise ValueError("--steps must be >= 0")
     max_order = normalform.default_trunc_order(MAX_STEPS)
     if args.steps > MAX_STEPS:
         raise ValueError("--steps %d is over the budget of %d (the truncation "

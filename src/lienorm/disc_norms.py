@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .power_series import TruncSeries
 
@@ -227,30 +227,22 @@ class WeightSequence:
     """A family of increasing weight functions lambda_n on (0, 1].
 
     kind 'geometric' is lambda_n(s) = s**(a*n); 'hilbert' (dimension 1)
-    is sqrt(pi/(n+1)) s**(n+1); 'constant' is lambda_n = 1; 'tabulated'
-    wraps an explicit list of callables.
+    is sqrt(pi/(n+1)) s**(n+1); 'constant' is lambda_n = 1.  Each kind is
+    a formula in n, so lambda_p_check sums over all n, never a table.
     """
 
-    def __init__(self, kind: str, a: Fraction | int = 1,
-                 table: Sequence[Callable[[float], float]] | None = None):
-        if kind not in ("geometric", "hilbert", "constant", "tabulated"):
+    def __init__(self, kind: str, a: Fraction | int = 1):
+        if kind not in ("geometric", "hilbert", "constant"):
             raise ValueError("unknown weight kind %r" % kind)
-        if kind == "tabulated" and not table:
-            raise ValueError("tabulated weights need a table")
         self.kind = kind
         self.a = Fraction(a)
-        self.table = list(table) if table else None
 
     def weight(self, n: int, s: float) -> float:
         if self.kind == "geometric":
             return float(s) ** (float(self.a) * n)
         if self.kind == "hilbert":
             return math.sqrt(math.pi / (n + 1)) * float(s) ** (n + 1)
-        if self.kind == "constant":
-            return 1.0
-        if n >= len(self.table):
-            raise IndexError("tabulated weight index %d out of range" % n)
-        return self.table[n](s)
+        return 1.0
 
     def is_monotone_on_grid(self, n: int, grid: Sequence[float]) -> bool:
         vals = [self.weight(n, s) for s in sorted(grid)]
@@ -282,38 +274,21 @@ def _ratio_sum(lam: WeightSequence, mu: WeightSequence, p: float, s, t):
 
 def lambda_p_check(lam: WeightSequence, mu: WeightSequence, p: float,
                    alpha: float, C: float,
-                   grid: Sequence[tuple[float, float]],
-                   allow_truncated: bool = False) -> bool:
+                   grid: Sequence[tuple[float, float]]) -> bool:
     """Condition: sum_i mu_i(s)^p / lambda_i(t)^p <= C / (t-s)^alpha at
     every grid point (s, t) with 0 < s < t.
 
-    Geometric-type weights are summed in closed form.  For tabulated
-    weights only the stored indices are summed; that is a lower bound of
-    the true sum, so a certified True is impossible and the check raises
-    InconclusiveError unless allow_truncated is set (the truncation index
-    is reported in the error and via the return of stored terms).
+    Every verdict compares the whole infinite sum, taken in closed form
+    by _ratio_sum.  A pairing without a closed form raises
+    InconclusiveError: a partial sum only bounds the sum from below, so
+    it cannot certify True.
     """
     if p < 1:
         raise ValueError("need p >= 1")
     for s, t in grid:
         if not 0 < s < t:
             raise ValueError("grid points need 0 < s < t, got (%s, %s)" % (s, t))
-        if lam.kind == "tabulated" or mu.kind == "tabulated":
-            n_terms = min(
-                len(w.table) for w in (lam, mu) if w.kind == "tabulated"
-            )
-            if not allow_truncated:
-                raise InconclusiveError(
-                    "tabulated weights checked only up to index %d; "
-                    "pass allow_truncated=True to accept the partial sum"
-                    % (n_terms - 1)
-                )
-            total = sum(
-                (mu.weight(i, s) / lam.weight(i, t)) ** p for i in range(n_terms)
-            )
-        else:
-            total = _ratio_sum(lam, mu, p, s, t)
-        if total > C / (t - s) ** alpha:
+        if _ratio_sum(lam, mu, p, s, t) > C / (t - s) ** alpha:
             return False
     return True
 

@@ -17,7 +17,6 @@ pole order, makes the result a float.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -213,14 +212,6 @@ def closed_form_xn_bound(n: int, state0: PrismaState, cfg: IterConfig):
     return K_n * (state0.x / K_n) ** (2**n) * lam ** (cfg.l * n)
 
 
-def _tail_ratios(points: Sequence[tuple[int, float]]) -> list[float]:
-    """Normalized log-ratios log|x_j|/log|x_i| between consecutive entries."""
-    out = []
-    for (i, a), (j, b) in zip(points, points[1:]):
-        out.append((math.log(b) / math.log(a)) ** (1.0 / (j - i)))
-    return out
-
-
 def _valid_witness(points, rho_cand):
     """Smallest C < 1 with |x_n| <= C^(rho^n) consistent with the data.
 
@@ -247,26 +238,25 @@ def _valid_witness(points, rho_cand):
 
 
 def rapid_convergence_check(xs: Sequence[float],
-                            rho: float | None = None) -> tuple[bool, float, float]:
-    """Search for witnesses 0 <= C < 1, rho > 1 with |x_n| <= C^(rho^n).
+                            rho: float = 2.0) -> tuple[bool, float, float]:
+    """Search for a witness 0 <= C < 1 with |x_n| <= C^(rho^n).
 
-    Without an explicit exponent, rho is fitted by least squares on
-    log(-log|x_n|) and validated alongside the canonical quadratic value
-    2 (witness validity is downward closed in rho, so the larger of the
-    two supportable claims is reported).  Validation extrapolates the
-    tail of the implied per-index constants |x_n|^(rho^-n) and demands a
-    limit strictly below 1, which rejects polynomial and plain geometric
-    decay; the practical search window is rho in (1.1, 4].  Callers that
-    know the structural exponent (2 for a quadratic iteration) can pass
-    it as rho and only that claim is validated.  With fewer than four
-    nonzero entries there is nothing to fit, and the witness reported is
-    the one for rho = 2.
+    rho is the structural exponent of the iteration, never fitted: 2 for
+    the quadratic prisma map, whose log|x_n| = A 2^n + O(n) breaks any
+    claim with rho > 2 for large n.  A caller whose iteration has another
+    structural exponent passes its own rho > 1.  Validation extrapolates
+    the tail of the implied per-index constants |x_n|^(rho^-n) and
+    demands a limit strictly below 1, which rejects polynomial and plain
+    geometric decay.
 
     Zero entries satisfy any bound and are skipped.  Returns
     (ok, C, rho); on failure C and rho are NaN.
     """
     if len(xs) == 0:
         raise ValueError("need a nonempty sequence")
+    if not rho > 1:
+        raise ValueError("rho must be > 1")
+    rho = float(rho)
     # Decided on the values as given: float() overflows on a huge Fraction.
     if any(abs(x) >= 1 for x in xs):
         return False, math.nan, math.nan
@@ -274,33 +264,10 @@ def rapid_convergence_check(xs: Sequence[float],
     floats = [abs(float(x)) for x in xs]
     points = [(i, x) for i, x in enumerate(floats) if x != 0]
     if not points:
-        return True, 0.0, rho if rho else 2.0
+        return True, 0.0, rho
     if any(x >= 1 for _, x in points):  # a value just below 1 can round to 1.0
         return False, math.nan, math.nan
-    if rho is not None:
-        if not rho > 1:
-            raise ValueError("explicit rho must be > 1")
-        c = _valid_witness(points, float(rho))
-        if c is None:
-            return False, math.nan, math.nan
-        return True, c, float(rho)
-    if len(points) < 4:
-        # too few points to fit rho; the quadratic claim has a witness
-        return True, _valid_witness(points, 2.0), 2.0
-    ratios = _tail_ratios(points)
-    tail = ratios[len(ratios) // 2 :]
-    if min(tail) < 1.12 or statistics.median(tail) < 1.15:
+    c = _valid_witness(points, rho)
+    if c is None:
         return False, math.nan, math.nan
-    # numpy only here: the lstsq rounding reaches the reported rho
-    import numpy as np
-
-    ys = [math.log(-math.log(x)) for _, x in points]
-    ns = [i for i, _ in points]
-    a_mat = np.vstack([np.ones(len(ns)), ns]).T
-    coef, *_ = np.linalg.lstsq(a_mat, np.array(ys), rcond=None)
-    rho_fit = min(max(float(math.exp(coef[1])), 1.11), 4.0)
-    for cand in sorted({2.0, rho_fit}, reverse=True):
-        c = _valid_witness(points, cand)
-        if c is not None:
-            return True, c, cand
-    return False, math.nan, math.nan
+    return True, c, rho

@@ -243,13 +243,9 @@ class TestWeights:
             lambda_p_check(WeightSequence("hilbert"),
                            WeightSequence("geometric"), 1, 1, 1, [(0.2, 0.5)])
 
-    def test_tabulated_truncation_reported(self):
-        tab = WeightSequence("tabulated", table=[lambda s, i=i: s ** (i + 1)
-                                                 for i in range(6)])
-        with pytest.raises(InconclusiveError):
-            lambda_p_check(tab, tab, 1, 1, 1, [(0.2, 0.5)])
-        assert lambda_p_check(tab, tab, 1, 1, 1, [(0.2, 0.5)],
-                              allow_truncated=True)
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown weight kind 'tabulated'"):
+            WeightSequence("tabulated")
 
     def test_monotone_on_grid(self):
         lam = WeightSequence("hilbert")

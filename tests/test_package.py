@@ -11,10 +11,10 @@ SRC = os.path.dirname(os.path.dirname(lienorm.__file__))
 MODULES = ["power_series", "disc_norms", "defsets", "prisma", "normalform", "paramopt"]
 
 
-def loaded_by(code, *argv):
-    """The lienorm modules a fresh interpreter holds after running code."""
-    code += ("\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'lienorm'),"
-             " file=sys.stderr)")
+def loaded_by(code, *argv, package="lienorm"):
+    """The modules of package a fresh interpreter holds after running code."""
+    code += ("\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == %r),"
+             " file=sys.stderr)" % package)
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", "import sys\n" + code, *argv],
                           env=env, capture_output=True, text=True, timeout=120)
@@ -46,6 +46,31 @@ SUBCOMMANDS = [
 def test_subcommand_loads_only_its_modules(argv, modules):
     got = loaded_by("import lienorm.cli\nlienorm.cli.run(sys.argv[1:])", *argv)
     assert got == {"lienorm", "lienorm.cli", *("lienorm." + m for m in modules)}
+
+
+# every subcommand but the two optimizers, in one interpreter: the
+# convergent prisma run is decided without numpy too
+NUMPY_FREE = [
+    ["morse-trace", "--steps", "1"],
+    ["normalize", "--steps", "1"],
+    ["certify", "--t0", "1/250", "--steps", "3"],
+    ["threshold"],
+    ["plot-grid", "--resolution", "3"],
+    ["prisma", "--t", "1", "--s", "7/10", "--x", "3/10", "--R", "8", "--lambda", "5/8"],
+    ["prisma", "--t", "1", "--s", "7/10", "--x", "3/2", "--steps", "4"],
+    ["defset", "idempotent", "--set", "diagonal", "--grid", "2"],
+    ["norms", "lambda-p", "--grid", "2"],
+]
+
+
+def test_only_the_optimizers_import_numpy():
+    code = "import lienorm.cli\n" + "".join(
+        "assert lienorm.cli.run(%r) in (0, 1)\n" % argv for argv in NUMPY_FREE)
+    assert loaded_by(code, package="numpy") == set()
+    for argv in (["optimize", "--mode", "basic"], ["qtable", "--n", "3"]):
+        got = loaded_by("import lienorm.cli\nlienorm.cli.run(sys.argv[1:])", *argv,
+                        package="numpy")
+        assert "numpy" in got
 
 
 def test_public_names_are_their_modules_objects():

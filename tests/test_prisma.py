@@ -307,6 +307,11 @@ class TestParametric:
         assert "alpha" not in traj[-1].to_dict()
 
 
+def _log(x):
+    """log x of a positive Fraction too small for a float."""
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
 class TestRapidConvergence:
     def test_exact_doubling(self):
         ok, c, r = rapid_convergence_check([(0.5) ** (2**n) for n in range(8)])
@@ -331,9 +336,55 @@ class TestRapidConvergence:
         assert rapid_convergence_check([s.x for s in traj]) == (ok, c, r)
 
     def test_shallow_rapid_sequence(self):
-        ok, c, r = rapid_convergence_check([0.99 ** (1.2**n) for n in range(25)])
-        assert ok
-        assert r == pytest.approx(1.2, abs=0.01)
+        xs = [0.99 ** (1.2**n) for n in range(25)]
+        ok, c, r = rapid_convergence_check(xs, rho=1.2)
+        assert ok and r == 1.2
+        assert c == pytest.approx(0.99)
+        # the structural exponent 2 is no witness for a slower sequence
+        ok, c, r = rapid_convergence_check(xs)
+        assert not ok and math.isnan(c) and math.isnan(r)
+
+    def test_rho_must_exceed_one(self):
+        for bad in (1, 0.5, math.nan):
+            with pytest.raises(ValueError):
+                rapid_convergence_check([0.25, 0.0625], rho=bad)
+
+    def test_witness_holds_where_a_fitted_exponent_broke(self):
+        # a least-squares fit on these 9 points claimed C 0.3, rho 2.0344...;
+        # the exact x_18 breaks that claim and keeps the structural one
+        state = PrismaState(F(1), F(7, 10), F(3, 10))
+        cfg = IterConfig(R=8, k=0, l=1, lam=F(5, 8))
+        ok, c, r = rapid_convergence_check([st.x for st in iterate(state, cfg, 8)])
+        assert (ok, c, r) == (True, 0.3, 2.0)
+        log_x18 = _log(closed_form_xn(18, state, cfg))
+        assert log_x18 <= 2**18 * math.log(c)
+        assert log_x18 > 2.0344390164759334**18 * math.log(c)
+
+    def test_default_witness_bounds_the_exact_tail(self):
+        # the criterion-9 recipe, every pole-order pair: a witness read off
+        # 8 exact steps must bound the exact x_n through n = 16
+        rng = random.Random(8016)
+        accepted = 0
+        for _ in range(3):
+            for k, l in [(k, l) for k in range(3) for l in range(3) if k or l]:
+                lam = rng.choice([F(1, 4), F(1, 2), F(3, 4)])
+                cfg = IterConfig(R=F(rng.randint(1, 4), rng.randint(1, 2)),
+                                 k=k, l=l, lam=lam)
+                t = F(rng.randint(9, 16), 8)
+                s = t * (lam + (1 - lam) * F(rng.randint(3, 9), 10))
+                cap = cfg.R * rho(t, s, lam) ** k * s**k * lam**l * (t - s) ** l
+                state = PrismaState(t, s, cap * F(rng.randint(1, 9), 10))
+                ok, c, r = rapid_convergence_check(
+                    [st.x for st in iterate(state, cfg, 8)])
+                if not ok:
+                    continue
+                accepted += 1
+                assert r == 2.0
+                for n in range(17):
+                    # C^(2^n) in log space, with room for the rounding of C
+                    bound = 2**n * math.log(c) * (1 - 1e-12)
+                    assert _log(closed_form_xn(n, state, cfg)) <= bound, (n, state, cfg)
+        assert accepted >= 20
 
     def test_zeros_are_trivial(self):
         ok, c, r = rapid_convergence_check([0.0, 0.0])
