@@ -12,6 +12,12 @@ float.  From there plain arithmetic keeps everything exact whenever the
 data are rational and the pole orders are integers, so the closed forms
 can be asserted as exact equalities; one float operand, or a fractional
 pole order, makes the result a float.
+
+The closed forms share one chain per start.  Its partial products
+p_i = s_i/s_0 and Horner values q_i do not depend on n, so the chain of
+the latest (state0, cfg) is kept and extended: closed_form_xn for
+n = 0, 1, ..., N on one start walks it once, to N, and gives the values
+and errors that separate walks give.
 """
 
 from __future__ import annotations
@@ -124,32 +130,70 @@ def in_invariant_set(state: PrismaState, cfg: IterConfig) -> bool:
 
 def iterate(state: PrismaState, cfg: IterConfig, n: int) -> list[PrismaState]:
     """The trajectory [state, f(state), ..., f^n(state)] under ``step``."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     out = [state]
     for _ in range(n):
         out.append(step(out[-1], cfg))
     return out
 
 
-def _partial_rho_products(n: int, state0: PrismaState, cfg: IterConfig):
-    """[p_0, ..., p_n] with p_i the product of rho(t_j, s_j) over j < i,
-    which is s_i/s_0: LeavesDomainError at the first p_i <= 0."""
+# The chain of the latest start, (state0, cfg, t, s, ps, K, qs): see
+# _chain.  Rebound whole and never mutated, so threads that race on it can
+# only redo work.  It holds state0 and cfg themselves, so an identity match
+# cannot come from a new object at a reused address.
+_memo = None
+
+
+def _chain(n: int, state0: PrismaState, cfg: IterConfig, horner: bool = True):
+    """(K, ps, qs): the n-independent chain of the closed forms, through n.
+
+    ps = (p_0, p_1, ...), at least through p_n, with p_i the product of
+    rho(t_j, s_j) over j < i, which is s_i/s_0: LeavesDomainError at the
+    first p_i <= 0.  When horner is true, also K = R s0^k lam^l (t0-s0)^l
+    and the Horner values qs = (q_0, q_1, ...), at least through q_n, with
+    q_0 = x0/K and q_{i+1} = q_i^2 / p_i^k; otherwise K and qs are whatever
+    the chain holds so far, perhaps None and ().
+
+    The chain of the latest (state0, cfg), matched by identity, is kept and
+    extended, so the calls for n = 0, 1, ..., N walk it once.  Every value
+    comes from the same operations in the same order as a fresh walk, so
+    it is the same value, and an error is raised where a fresh walk raises
+    it: K and q_0 come first, then ps reaches n before any further q_i is
+    formed, so a domain error wins over a float overflow in q.
+    """
+    global _memo
+    memo = _memo
+    if memo is None or memo[0] is not state0 or memo[1] is not cfg:
+        t, s = state0.t, state0.s
+        # the empty product, exact iff t, s and lam are
+        memo = (state0, cfg, t, s, (rho(t, s, cfg.lam) ** 0,), None, ())
+    _, _, t, s, ps, K, qs = memo
+    if horner and K is None:
+        K = (cfg.R * state0.s**cfg.k * cfg.lam**cfg.l
+             * (state0.t - state0.s) ** cfg.l)
+        qs = (state0.x / K,)
     if n < 0:
         raise ValueError("n must be >= 0")
     lam = cfg.lam
-    t, s = state0.t, state0.s
-    p = rho(t, s, lam) ** 0  # the empty product, exact iff t, s and lam are
-    out = [p]
-    for i in range(1, n + 1):
+    p = ps[-1]
+    for i in range(len(ps), n + 1):
         p = p * rho(t, s, lam)
         if p <= 0:
             raise LeavesDomainError("s_%d <= 0: trajectory leaves the prisma" % i)
         t, s = s, s - lam * (t - s)
-        out.append(p)
-    return out
+        ps += (p,)
+    if horner:
+        q = qs[-1]
+        for i in range(len(qs), n + 1):
+            q = q**2 / ps[i - 1] ** cfg.k
+            qs += (q,)
+    _memo = (state0, cfg, t, s, ps, K, qs)
+    return K, ps, qs
 
 
 def _check_s_n(n: int, state0: PrismaState, cfg: IterConfig) -> None:
-    """LeavesDomainError unless s_1, ..., s_n > 0, as _partial_rho_products.
+    """LeavesDomainError unless s_1, ..., s_n > 0, as the walk of _chain.
 
     s_i decreases strictly, so s_n > 0 decides it, and (1 - lam) s_n =
     s0 - lam*t0 + lam^(n+1)*(t0 - s0) needs no walk.  Only when that
@@ -158,7 +202,7 @@ def _check_s_n(n: int, state0: PrismaState, cfg: IterConfig) -> None:
         raise ValueError("n must be >= 0")
     t0, s0, lam = state0.t, state0.s, cfg.lam
     if not s0 - lam * t0 + lam ** (n + 1) * (t0 - s0) > 0:
-        _partial_rho_products(n, state0, cfg)
+        _chain(n, state0, cfg, horner=False)
 
 
 def closed_form_xn(n: int, state0: PrismaState, cfg: IterConfig):
@@ -178,18 +222,20 @@ def closed_form_xn(n: int, state0: PrismaState, cfg: IterConfig):
     so q_n = (x0/K)^(2^n) when k = 0.  Multiplying the factors out
     separately would cross-reduce two fractions of thousands of bits at
     every product; here squaring needs no gcd and every other product has
-    one small operand.
+    one small operand.  Neither the p_i nor the q_i depend on n: one chain
+    per start is kept and extended (see _chain), so calls for n = 0, 1,
+    ..., N on one start cost one walk to N.  For k = 0, q_n is the one
+    power (x0/K)^(2^n), not n squarings, which would round floats
+    differently.
     """
-    lam = cfg.lam
-    K = cfg.R * state0.s**cfg.k * lam**cfg.l * (state0.t - state0.s) ** cfg.l
-    q = state0.x / K
     if cfg.k == 0:
+        K, _, qs = _chain(0, state0, cfg)  # K and q_0, no walk
         _check_s_n(n, state0, cfg)
-        q = q ** (2**n)
+        q = qs[0] ** (2**n)
     else:
-        for p in _partial_rho_products(n, state0, cfg)[:-1]:
-            q = q**2 / p**cfg.k
-    return K * lam ** (cfg.l * n) * q
+        K, _, qs = _chain(n, state0, cfg)
+        q = qs[n]
+    return K * cfg.lam ** (cfg.l * n) * q
 
 
 def closed_form_xn_bound(n: int, state0: PrismaState, cfg: IterConfig):
@@ -199,14 +245,16 @@ def closed_form_xn_bound(n: int, state0: PrismaState, cfg: IterConfig):
 
     Evaluated as K_n (x0/K_n)^(2^n) lam^(l n), for the reason given in
     closed_form_xn: the power needs no gcd and each product that follows
-    has one small operand.  Raises as closed_form_xn does.
+    has one small operand.  For k > 0, p_n comes from the chain that
+    closed_form_xn extends, without its Horner values.  Raises as
+    closed_form_xn does.
     """
     lam = cfg.lam
     if cfg.k == 0:
         _check_s_n(n, state0, cfg)
         p_n = rho(state0.t, state0.s, lam) ** 0  # p_n**k is 1, exact iff the data are
     else:
-        p_n = _partial_rho_products(n, state0, cfg)[-1]
+        p_n = _chain(n, state0, cfg, horner=False)[1][n]
     K_n = (cfg.R * p_n**cfg.k * state0.s**cfg.k * lam**cfg.l
            * (state0.t - state0.s) ** cfg.l)
     return K_n * (state0.x / K_n) ** (2**n) * lam ** (cfg.l * n)
@@ -215,13 +263,17 @@ def closed_form_xn_bound(n: int, state0: PrismaState, cfg: IterConfig):
 def _valid_witness(points, rho_cand):
     """Smallest C < 1 with |x_n| <= C^(rho^n) consistent with the data.
 
-    Accepts only when the per-index implied constants C_n extrapolate to
-    a limit strictly below 1; returns None when the candidate fails.
+    Accepts only when the per-index implied constants log C_n, and the
+    limit they extrapolate to, stay below -1e-9; returns None when the
+    candidate fails.  The margin keeps a sequence that does not converge,
+    such as a constant one, from passing once log C_n = log|x_n| / rho^n
+    is too close to 0 for its rounding, or for the tail test, to tell.
     """
-    logc = [math.log(x) / rho_cand**i for i, x in points]
-    cmax = max(logc)
-    if cmax >= 0:
+    try:
+        logc = [math.log(x) / rho_cand**i for i, x in points]
+    except OverflowError:  # rho^i beyond float range: C_i rounds to 1
         return None
+    cmax = max(logc)
     if len(logc) >= 4:
         d1 = logc[-1] - logc[-2]
         d0 = logc[-2] - logc[-3]
@@ -230,10 +282,9 @@ def _valid_witness(points, rho_cand):
             if d0 <= 0 or d1 > 0.98 * d0:
                 return None
             q = d1 / d0
-            limit = logc[-1] + d1 * q / (1 - q)
-            if limit >= -1e-9:
-                return None
-            cmax = max(cmax, limit)
+            cmax = max(cmax, logc[-1] + d1 * q / (1 - q))
+    if cmax >= -1e-9:
+        return None
     return math.exp(cmax)
 
 

@@ -207,6 +207,20 @@ class TestPrisma:
         assert err == ("error: step 14 has a value of more than 4300 digits, past "
                        "Python's int-to-str limit (sys.get_int_max_str_digits())\n")
 
+    @pytest.mark.parametrize("steps", ["50", "1100"])
+    def test_constant_trajectory_exits_one(self, capsys, steps):
+        # x stays 1/2, which no C < 1 bounds: 50 steps printed the witness
+        # C 0.9999999999999993, and 1100 steps overflowed 2.0^n
+        code, out, err = run_capture(
+            capsys, "prisma", "--t", "1", "--s", "3/4", "--x", "1/2",
+            "--R", "1/2", "--k", "0", "--l", "0", "--lambda", "1/2",
+            "--steps", steps,
+        )
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        assert len(doc["trajectory"]) == int(steps) + 1
+        assert doc["diagnostics"] == {"rapidly_convergent": False}
+
     def test_zero_trajectory_prints_every_step(self, capsys):
         code, out, _ = run_capture(capsys, "prisma", "--t", "1", "--s", "3/4",
                                    "--x", "0", "--steps", "40")
@@ -377,7 +391,9 @@ class TestExitCodes:
 # plot-grid cases were recorded before the objectives became row kernels;
 # the certify, threshold and last two prisma cases were recorded with the
 # exponent of rapid_convergence_check fitted, and those two prisma cases
-# have since moved from rho 2.034... and 2.022... to the structural rho 2
+# have since moved from rho 2.034... and 2.022... to the structural rho 2;
+# the constant-trajectory prisma case was recorded when it passed with
+# C 1.0, and has since moved to exit 1
 GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
 
 

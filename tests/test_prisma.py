@@ -1,9 +1,15 @@
+import dataclasses
+import gc
 import math
 import random
+import sys
+import threading
+import weakref
 from fractions import Fraction as F
 
 import pytest
 
+from lienorm import prisma
 from lienorm.prisma import (
     IterConfig,
     LeavesDomainError,
@@ -270,6 +276,152 @@ class TestRandomizedExactness:
                 assert st_n.t - st_n.s == lam**n * (t - s)
 
 
+def _outcome(form, n, state, cfg):
+    """Type and value of form(n, state, cfg), the value by repr for a float,
+    or the type and message of what it raises."""
+    try:
+        value = form(n, state, cfg)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return type(value), repr(value) if isinstance(value, float) else value
+
+
+def _fresh_outcomes(state, cfg):
+    """The outcome of every call _calls makes, each on its own copies of
+    the start, which share no chain with it or with each other."""
+    return {(form, n): _outcome(form, n, dataclasses.replace(state),
+                                dataclasses.replace(cfg))
+            for n in range(10) for form in (closed_form_xn, closed_form_xn_bound)}
+
+
+def _chain_starts(seed, count):
+    """Seeded starts of every number kind, many of which leave the prisma."""
+    rng = random.Random(seed)
+    starts = []
+    for _ in range(count):
+        kind = rng.choice(["fraction", "float", "mixed"])
+
+        def conv(v):
+            if kind == "float" or (kind == "mixed" and rng.random() < 0.5):
+                return float(v)
+            return v
+
+        t = F(rng.randint(5, 12), 4)
+        state = PrismaState(conv(t), conv(t * F(rng.randint(1, 19), 20)),
+                            conv(F(rng.randint(1, 999), 1000)))
+        cfg = IterConfig(R=conv(F(rng.randint(1, 4), rng.randint(1, 2))),
+                         k=rng.choice([F(1, 2), 1, F(3, 2), 2, 0.5, 1.0]),
+                         l=rng.choice([0, F(1, 2), 1, 2]),
+                         lam=conv(F(rng.randint(1, 7), 8)))
+        starts.append((state, cfg))
+    return starts
+
+
+def _calls(rng, order):
+    calls = [(form, n) for n in range(10)
+             for form in (closed_form_xn, closed_form_xn_bound)]
+    if order == "shuffled":
+        rng.shuffle(calls)
+    elif order == "repeated":
+        calls = [rng.choice(calls) for _ in range(30)]
+    else:
+        calls.reverse()
+    return calls
+
+
+class TestChain:
+    """The closed forms share one chain per start, extended across calls."""
+
+    @pytest.mark.parametrize("order", ["shuffled", "repeated", "descending"])
+    def test_any_call_order_gives_the_fresh_outcome(self, order):
+        rng = random.Random(order)
+        for state, cfg in _chain_starts(len(order), 60):
+            expected = _fresh_outcomes(state, cfg)
+            for call in _calls(rng, order):
+                assert _outcome(*call, state, cfg) == expected[call], call
+
+    def test_interleaved_starts_give_the_fresh_outcome(self):
+        # call by call, three starts that share a state or a config
+        rng = random.Random(5)
+        starts = _chain_starts(6, 60)
+        for (a, cfg_a), (b, cfg_b) in zip(starts[::2], starts[1::2]):
+            mixed = [(a, cfg_a), (a, cfg_b), (b, cfg_a)]
+            expected = [_fresh_outcomes(state, cfg) for state, cfg in mixed]
+            for calls in zip(*(_calls(rng, "shuffled") for _ in mixed)):
+                for (state, cfg), want, call in zip(mixed, expected, calls):
+                    assert _outcome(*call, state, cfg) == want[call], call
+
+    @pytest.mark.parametrize("order", [(4, 6), (6, 4)])
+    def test_domain_error_wins_over_a_float_overflow(self, order):
+        # q_4 already overflows a float, and s_5 <= 0: x_4 overflows, and
+        # x_6 leaves the prisma whichever call comes first
+        state = PrismaState(1.0, 0.49, 1e20)
+        cfg = IterConfig(R=1.0, k=1, l=2, lam=0.5)
+        for n in order:
+            if n == 4:
+                with pytest.raises(OverflowError):
+                    closed_form_xn(n, state, cfg)
+            else:
+                with pytest.raises(LeavesDomainError, match=r"^s_5 <= 0"):
+                    closed_form_xn(n, state, cfg)
+
+    def test_only_the_latest_start_is_held(self):
+        cfg = IterConfig(R=F(1), k=1, l=1, lam=F(1, 2))
+        earlier = PrismaState(F(1), F(3, 4), F(1, 16))
+        ref = weakref.ref(earlier)
+        closed_form_xn(5, earlier, cfg)
+        del earlier
+        gc.collect()
+        assert ref() is not None
+        closed_form_xn(5, PrismaState(F(1), F(3, 4), F(1, 32)), cfg)
+        gc.collect()
+        assert ref() is None
+
+    def test_threads_on_two_starts_match_a_sequential_run(self):
+        starts = [(PrismaState(F(1), F(3, 4), F(1, 16)),
+                   IterConfig(R=F(1), k=1, l=1, lam=F(1, 2))),
+                  (PrismaState(1.0, 0.8, 0.01), IterConfig(R=1.5, k=2, l=1, lam=0.5))]
+        expected = [[_outcome(closed_form_xn, n, dataclasses.replace(state),
+                              dataclasses.replace(cfg)) for n in range(13)]
+                    for state, cfg in starts]
+        results = [[], []]
+
+        def run(i):
+            state, cfg = starts[i]
+            for _ in range(40):
+                results[i].append([_outcome(closed_form_xn, n, state, cfg)
+                                   for n in range(13)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i in range(2):
+            assert results[i] == [expected[i]] * 40
+
+    def test_one_walk_serves_every_n(self, monkeypatch):
+        calls = []
+
+        def counted(t, s, lam):
+            calls.append((t, s))
+            return rho(t, s, lam)
+
+        monkeypatch.setattr(prisma, "rho", counted)
+        state = PrismaState(F(1), F(3, 4), F(1, 16))
+        cfg = IterConfig(R=F(1), k=1, l=1, lam=F(1, 2))
+        for n in range(13):
+            closed_form_xn(n, state, cfg)
+        # p_0 and one multiplier for each of p_1, ..., p_12
+        assert len(calls) <= 13
+
+
 class TestParametric:
     def test_documented_step_with_alpha(self):
         st4 = PrismaState(F(1), F(3, 4), F(1, 16), F(0))
@@ -326,6 +478,16 @@ class TestRapidConvergence:
     def test_geometric_decay_fails(self):
         ok, _, _ = rapid_convergence_check([0.9 ** (n + 1) for n in range(12)])
         assert not ok
+        # at 60 points log C_59 is about -1e-17, too close to 0 for the tail test
+        ok, _, _ = rapid_convergence_check([0.9 ** (n + 1) for n in range(60)])
+        assert not ok
+
+    @pytest.mark.parametrize("length", [4, 51, 55, 1100])
+    def test_constant_sequence_fails(self, length):
+        # 51 points gave C 0.9999999999999993 and 55 gave C 1.0; at 1100
+        # points 2^n is past the float range
+        ok, c, r = rapid_convergence_check([0.5] * length)
+        assert not ok and math.isnan(c) and math.isnan(r)
 
     def test_documented_trajectory(self):
         traj = iterate(STATE, CFG, 12)
@@ -425,6 +587,12 @@ class TestRapidConvergence:
 
 
 class TestValidation:
+    def test_negative_step_count(self):
+        for form in (iterate, closed_form_xn, closed_form_xn_bound):
+            for cfg in (CFG, IterConfig(R=F(1), k=1, l=1, lam=F(1, 2))):
+                with pytest.raises(ValueError, match=r"^n must be >= 0$"):
+                    form(STATE, cfg, -1) if form is iterate else form(-1, STATE, cfg)
+
     def test_state_requires_prisma(self):
         with pytest.raises(ValueError):
             PrismaState(F(1, 2), F(1), F(0))
