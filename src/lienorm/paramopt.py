@@ -6,10 +6,10 @@ two certificate inequalities, which pins r as a function of (lambda, mu),
 and maximizes the resulting e*t_inf.  Both optimizers are deterministic
 and run one pipeline (``_maximize``):
 
-1. a coarse grid scan over the triangle 0 < lambda < mu < 1, unless a
-   start is given.  It evaluates one lambda row at a time through the
-   objective's row kernel (``_grid_scan``), and the first point with
-   the largest value seeds the simplex, as in a point-by-point scan.
+1. a coarse grid scan over the triangle 0 < lambda < mu < 1.  It
+   evaluates one lambda row at a time through the objective's row
+   kernel (``_grid_scan``), and the first point with the largest value
+   seeds the simplex, as in a point-by-point scan.
    The Q scan builds the part of its rows that no n changes, the base
    r(1-mu)/(e mu) of t_inf, once per process (``_q_grid``), and
    finishes each point for a given n with one power;
@@ -18,9 +18,9 @@ and run one pipeline (``_maximize``):
    results match scipy's bit for bit without importing it);
 3. Newton steps on the complex-step gradient (the simplex alone cannot
    resolve the flat maximum to the accuracy the cubic-residual check
-   needs).  Only this step imports numpy: its ``linalg.solve`` and
-   ``linalg.norm`` roundings reach the printed ``lambda``, ``mu`` and
-   ``grad_norm``.
+   needs).  Each step solves the symmetric 2x2 system in closed form
+   (``_solve_sym2``, Cramer's rule) and the stop test takes the
+   gradient norm with ``math.hypot``, so the module needs no numpy.
 
 The certified domain radius is compared against the true inversion
 radius R(n, beta); their ratio Q is minimized per n to reproduce the
@@ -299,31 +299,33 @@ def _complex_step_grad(f, lam, mu, h=1e-20):
     return f(complex(lam, h), mu).imag / h, f(lam, complex(mu, h)).imag / h
 
 
+def _solve_sym2(a, b, d, g0, g1):
+    """The solution of [[a, b], [b, d]] x = (g0, g1) by Cramer's rule;
+    None when the determinant is 0."""
+    det = a * d - b * b
+    if det == 0:
+        return None
+    return (d * g0 - b * g1) / det, (a * g1 - b * g0) / det
+
+
 def _newton_polish(f, x0, tol=1e-13, iters=60):
     """Newton on the complex-step gradient; Hessian by central differences
-    of the gradient."""
-    import numpy as np
-
-    grad = lambda lam, mu: np.array(_complex_step_grad(f, lam, mu))
-    x = np.array(x0, dtype=float)
+    of the gradient, symmetrized."""
+    grad = lambda lam, mu: _complex_step_grad(f, lam, mu)
     h = 1e-6
+    diff = lambda plus, minus: [(p - m) / (2 * h) for p, m in zip(plus, minus)]
+    lam, mu = (float(v) for v in x0)
     for it in range(iters):
-        g = grad(*x)
-        if np.linalg.norm(g) < tol:
+        g = grad(lam, mu)
+        if math.hypot(*g) < tol:
             break
-        hxx = (grad(x[0] + h, x[1]) - grad(x[0] - h, x[1])) / (2 * h)
-        hyy = (grad(x[0], x[1] + h) - grad(x[0], x[1] - h)) / (2 * h)
-        hess = np.array([hxx, hyy]).T
-        hess = (hess + hess.T) / 2
-        try:
-            delta = np.linalg.solve(hess, g)
-        except np.linalg.LinAlgError:
+        hx = diff(grad(lam + h, mu), grad(lam - h, mu))
+        hy = diff(grad(lam, mu + h), grad(lam, mu - h))
+        delta = _solve_sym2(hx[0], (hy[0] + hx[1]) / 2, hy[1], *g)
+        if delta is None or not 0 < lam - delta[0] < mu - delta[1] < 1:
             break
-        xn = x - delta
-        if not (0 < xn[0] < xn[1] < 1):
-            break
-        x = xn
-    return x, float(np.linalg.norm(g)), it + 1
+        lam, mu = lam - delta[0], mu - delta[1]
+    return (lam, mu), math.hypot(*g), it + 1
 
 
 def _linspace(start, stop, num):
@@ -359,12 +361,9 @@ def _grid_scan(row, rows):
     return best[1], best[2]
 
 
-def _maximize(f, seed, start=None, xatol=1e-10):
-    """Nelder-Mead and Newton on the pointwise ``f``, from ``start`` or,
-    without one, from the grid point ``seed()``.
-    Returns (x, gradient norm, iterations)."""
-    if start is None:
-        start = seed()
+def _maximize(f, start, xatol=1e-10):
+    """Nelder-Mead and Newton on the pointwise ``f`` from the grid point
+    ``start``.  Returns (x, gradient norm, iterations)."""
     guarded = lambda p: (-f(p[0], p[1])
                          if 0 < p[0] < p[1] < 1 else math.inf)
     res = minimize(guarded, start, xatol=xatol, fatol=1e-13,
@@ -373,22 +372,21 @@ def _maximize(f, seed, start=None, xatol=1e-10):
     return x, gnorm, res.nit + nit
 
 
-def maximize_basic(start=None) -> OptResult:
+def maximize_basic() -> OptResult:
     """Deterministic maximum of F_basic over 0 < lambda < mu < 1.
 
     The optimum satisfies 8 mu^3 - 4 mu^2 - 7 mu + 4 = 0 and
     lambda = 8 mu^2 + 2 mu - 4; those identities are left to the tests,
     the optimizer itself never uses them.
     """
-    seed = lambda: _grid_scan(_F_basic_row, _grid_rows(200))
-    x, gnorm, nit = _maximize(F_basic, seed, start)
+    x, gnorm, nit = _maximize(F_basic, _grid_scan(_F_basic_row, _grid_rows(200)))
     val = F_basic(*x)
     return OptResult(x[0], x[1], None, val, val / E, nit, gnorm)
 
 
-def maximize_equalized(start=None) -> OptResult:
-    seed = lambda: _grid_scan(_equalized_row, _grid_rows(200))
-    x, gnorm, nit = _maximize(equalized_objective, seed, start)
+def maximize_equalized() -> OptResult:
+    x, gnorm, nit = _maximize(equalized_objective,
+                              _grid_scan(_equalized_row, _grid_rows(200)))
     val = equalized_objective(*x)
     r = _equal_bound_r_row(x[0], (x[1],))[0]
     return OptResult(x[0], x[1], r, val, val / E, nit, gnorm)
@@ -416,13 +414,12 @@ def _q_seed(n):
     return _grid_scan(row, _q_grid(120))
 
 
-def minimize_q(n: int, start=None) -> QRow:
+def minimize_q(n: int) -> QRow:
     """Per-n minimum of Q over the triangle, seeded from a 120 x 120 grid."""
     if n < 3:
         raise ValueError("need n >= 3")
     f = lambda lam, mu: -q_value(n, lam, mu)
-    x, _, _ = _maximize(f, lambda: _q_seed(n), start, xatol=1e-11)
-    lam, mu = float(x[0]), float(x[1])
+    (lam, mu), _, _ = _maximize(f, _q_seed(n), xatol=1e-11)
     tinf = certified_t_inf(n, lam, mu, 1.0)
     return QRow(n, lam, mu, true_radius(n, 1.0) / tinf, true_radius(n, 1.0), tinf)
 

@@ -48,9 +48,11 @@ def test_subcommand_loads_only_its_modules(argv, modules):
     assert got == {"lienorm", "lienorm.cli", *("lienorm." + m for m in modules)}
 
 
-# every subcommand but the two optimizers, in one interpreter: the
-# convergent prisma run is decided without numpy too
+# every subcommand in one interpreter: the optimizers' Newton step and the
+# convergent prisma run are decided without numpy
 NUMPY_FREE = [
+    ["optimize", "--mode", "basic"],
+    ["qtable", "--n", "3"],
     ["morse-trace", "--steps", "1"],
     ["normalize", "--steps", "1"],
     ["certify", "--t0", "1/250", "--steps", "3"],
@@ -63,14 +65,26 @@ NUMPY_FREE = [
 ]
 
 
-def test_only_the_optimizers_import_numpy():
+def test_no_subcommand_imports_numpy():
     code = "import lienorm.cli\n" + "".join(
         "assert lienorm.cli.run(%r) in (0, 1)\n" % argv for argv in NUMPY_FREE)
     assert loaded_by(code, package="numpy") == set()
-    for argv in (["optimize", "--mode", "basic"], ["qtable", "--n", "3"]):
-        got = loaded_by("import lienorm.cli\nlienorm.cli.run(sys.argv[1:])", *argv,
-                        package="numpy")
-        assert "numpy" in got
+
+
+def test_optimizers_run_with_numpy_blocked():
+    # None in sys.modules makes every `import numpy` raise ImportError
+    code = ("import sys, contextlib, io\n"
+            "sys.modules['numpy'] = None\n"
+            "import lienorm.cli\n"
+            "for argv in %r:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert lienorm.cli.run(argv) == 0, argv\n"
+            % [["optimize", "--mode", "basic"], ["optimize", "--mode", "equalized"],
+               ["qtable", "--n", "3"]])
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_public_names_are_their_modules_objects():
