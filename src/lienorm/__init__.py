@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 # each public name and the module that defines it
 _SOURCE = {
     **dict.fromkeys([
-        "TruncSeries", "Derivation", "apply_derivation", "j_map", "lie_exp",
+        "TruncSeries", "apply_derivation", "j_map", "lie_exp",
         "CompositionDomainError", "NotInvertibleError",
         "NonTerminatingExponentialError", "InsufficientTruncationError",
     ], "power_series"),

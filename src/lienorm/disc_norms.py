@@ -7,6 +7,10 @@ certify inequalities (Cauchy-Nagumo, order filtration, weight sums) are
 carried out in exact rational arithmetic when the inputs allow it;
 reported float values carry a directed-rounding slack factor 1 + 2**-40
 so they stay certified upper bounds.
+
+Local-operator bounds compose (compose_local_bounds), and an infinite
+composition of exponentials is bounded by 1/(1 - sum of normalized
+norms) (compose_exponentials_bound).
 """
 
 from __future__ import annotations
@@ -23,15 +27,12 @@ _SLACK = 1 + 2.0**-40
 
 class DivergenceError(ValueError):
     """A bound diverges: the evaluation point is outside the radius of
-    convergence, or a sum of normalized norms reaches 1."""
+    convergence, a sum of normalized norms reaches 1, or an
+    order-filtration norm is infinite."""
 
 
 class InconclusiveError(ValueError):
     """The check cannot certify a verdict (no closed-form tail)."""
-
-
-class InfiniteNormError(ValueError):
-    """Order-filtration norm diverges (leading order below the index)."""
 
 
 def _exact(x) -> Fraction:
@@ -117,7 +118,7 @@ def order_filtration_norm(f: TruncSeries, k, t) -> float:
     coefficients, so s^-k |f|_s is a sum of monomials s^(j-k) with
     j >= order(f); when order(f) >= k every exponent is >= 0, the sup is
     attained at s = t and is computed analytically.  Otherwise the sup is
-    infinite and InfiniteNormError is raised.
+    infinite and DivergenceError is raised.
     """
     kx = _exact(k)
     if kx < 0:
@@ -126,7 +127,7 @@ def order_filtration_norm(f: TruncSeries, k, t) -> float:
     if tx <= 0:
         raise ValueError("radius must be positive")
     if not f.is_zero() and Fraction(f.order) < kx:
-        raise InfiniteNormError(
+        raise DivergenceError(
             "leading order %s below filtration index %s" % (f.order, k)
         )
     if f.is_zero():
@@ -175,6 +176,18 @@ def compose_local_bounds(b1: LocalOpBound, b2: LocalOpBound) -> LocalOpBound:
     lf, l1, l2 = float(l), float(b1.l), float(b2.l)
     factor = lf**lf / (l1**l1 * l2**l2)
     return LocalOpBound(factor * b1.C * b2.C, b1.k + b2.k, l)
+
+
+def compose_exponentials_bound(nus) -> float:
+    """Operator-norm bound 1/(1 - sum(nu_i)) for an infinite composition
+    of exponentials with normalized norms nu_i = ||u_i||/(t_i - t_{i+1})."""
+    nus = list(nus)
+    if any(nu < 0 for nu in nus):
+        raise ValueError("normalized norms must be >= 0")
+    sigma = sum(nus)
+    if sigma >= 1:
+        raise DivergenceError("sum of normalized norms is %g >= 1" % sigma)
+    return 1.0 / (1.0 - sigma)
 
 
 def calibrate(b: LocalOpBound) -> float:

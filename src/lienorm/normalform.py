@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import prisma
-from .disc_norms import DivergenceError
-from .power_series import (
-    Derivation,
-    TruncSeries,
-    j_map,
-    lie_exp,
-)
+from .power_series import TruncSeries, j_map, lie_exp
 
 E = math.e
 
@@ -39,14 +33,14 @@ class LieRound:
     """One round of the formal iteration."""
 
     b: TruncSeries
-    v: Derivation
+    v: TruncSeries  # the derivation v(z) d/dz
     f: TruncSeries
     substitution: TruncSeries  # image of z under e^{-v}
 
     def to_dict(self) -> dict:
         return {
             "b": self.b.to_dict(),
-            "v": self.v.v.to_dict(),
+            "v": self.v.to_dict(),
             "f": self.f.to_dict(),
             "substitution": self.substitution.to_dict(),
         }
@@ -262,18 +256,6 @@ def lie_iterate_certified(cert: Certificate, steps: int):
         nxt = prisma.step(state, cfg)
         t, s, x = nxt.t, nxt.s, nxt.x
     return out
-
-
-def compose_exponentials_bound(nus) -> float:
-    """Operator-norm bound 1/(1 - sum(nu_i)) for an infinite composition
-    of exponentials with normalized norms nu_i = ||u_i||/(t_i - t_{i+1})."""
-    nus = list(nus)
-    if any(nu < 0 for nu in nus):
-        raise ValueError("normalized norms must be >= 0")
-    sigma = sum(nus)
-    if sigma >= 1:
-        raise DivergenceError("sum of normalized norms is %g >= 1" % sigma)
-    return 1.0 / (1.0 - sigma)
 
 
 def morse_certificate(t0: float = 0.004) -> Certificate:

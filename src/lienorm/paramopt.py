@@ -310,7 +310,8 @@ def _solve_sym2(a, b, d, g0, g1):
 
 def _newton_polish(f, x0, tol=1e-13, iters=60):
     """Newton on the complex-step gradient; Hessian by central differences
-    of the gradient, symmetrized."""
+    of the gradient, symmetrized.  Returns (x, gradient norm at x,
+    iterations)."""
     grad = lambda lam, mu: _complex_step_grad(f, lam, mu)
     h = 1e-6
     diff = lambda plus, minus: [(p - m) / (2 * h) for p, m in zip(plus, minus)]
@@ -325,6 +326,8 @@ def _newton_polish(f, x0, tol=1e-13, iters=60):
         if delta is None or not 0 < lam - delta[0] < mu - delta[1] < 1:
             break
         lam, mu = lam - delta[0], mu - delta[1]
+    else:  # every iteration stepped: the norm at the returned point
+        g = grad(lam, mu)
     return (lam, mu), math.hypot(*g), it + 1
 
 

@@ -22,9 +22,10 @@ big-integer multiply and reads the slots back as integers; the caller
 holds the product of the two denominators.  Composition is a Taylor
 shift built on the same kernel (see :meth:`TruncSeries.compose`).
 
-The module also provides derivations ``v(z) d/dz`` acting on series, the
-terminating Lie exponential for derivations of order >= 2, and the
-division map sending a series ``b`` with ``b(0)=0`` to the derivation
+A derivation ``v(z) d/dz`` is given by its coefficient series ``v``.
+The module applies derivations to series, takes the terminating Lie
+exponential of a derivation of order >= 2, and provides the division
+map sending a series ``b`` with ``b(0)=0`` to the derivation
 ``(b/z) d/dz``.
 
 Two number rules live here.  Series coefficients must be exact:
@@ -498,50 +499,18 @@ def _mul_at(a: TruncSeries, b: TruncSeries, n: int) -> TruncSeries:
     return _reduced(_raw_mul(a._num, b._num, n), a._den * b._den, n)
 
 
-class Derivation:
-    """A derivation v(z) d/dz given by its coefficient series v."""
-
-    __slots__ = ("v",)
-
-    def __init__(self, v: TruncSeries):
-        object.__setattr__(self, "v", v)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Derivation is immutable")
-
-    def __reduce__(self):
-        return Derivation, (self.v,)
-
-    @classmethod
-    def zero(cls, trunc_order: int) -> "Derivation":
-        return cls(TruncSeries.zero(trunc_order))
-
-    @property
-    def order(self):
-        return self.v.order
-
-    def __eq__(self, other):
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        return self.v == other.v
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "Derivation(%r d/dz)" % (self.v,)
+def apply_derivation(v: TruncSeries, f: TruncSeries) -> TruncSeries:
+    """v(f) = v(z) * f'(z) for the derivation v(z) d/dz."""
+    return v * f.derivative()
 
 
-def apply_derivation(v: Derivation, f: TruncSeries) -> TruncSeries:
-    """v(f) = v(z) * f'(z)."""
-    return v.v * f.derivative()
+def j_map(b: TruncSeries) -> TruncSeries:
+    """The right inverse of v |-> z*v(z): b |-> the derivation
+    ((b - b(0)) / z) d/dz, as its coefficient series."""
+    return _reduced(b._num[1:] or (0,), b._den, max(b.trunc_order - 1, 0))
 
 
-def j_map(b: TruncSeries) -> Derivation:
-    """The right inverse of v |-> z*v(z): b |-> ((b - b(0)) / z) d/dz."""
-    return Derivation(_reduced(b._num[1:] or (0,), b._den, max(b.trunc_order - 1, 0)))
-
-
-def lie_exp(v: Derivation, f: TruncSeries, sign: int = -1) -> TruncSeries:
+def lie_exp(v: TruncSeries, f: TruncSeries, sign: int = -1) -> TruncSeries:
     """sum_k sign^k v^k(f) / k!, exact and terminating.
 
     Each application of v raises the order by order(v) - 1, so the sum

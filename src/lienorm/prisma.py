@@ -13,11 +13,12 @@ data are rational and the pole orders are integers, so the closed forms
 can be asserted as exact equalities; one float operand, or a fractional
 pole order, makes the result a float.
 
-The closed forms share one chain per start.  Its partial products
-p_i = s_i/s_0 and Horner values q_i do not depend on n, so the chain of
-the latest (state0, cfg) is kept and extended: closed_form_xn for
-n = 0, 1, ..., N on one start walks it once, to N, and gives the values
-and errors that separate walks give.
+The closed forms share one chain per start, for every pole order.  Its
+partial products p_i = s_i/s_0 and Horner values q_i do not depend on
+n, so the chain of the latest (state0, cfg) is kept and extended:
+closed_form_xn for n = 0, 1, ..., N on one start walks it once, to N,
+and gives the values and errors that separate walks give.  The walk
+alone decides whether the trajectory stays in the prisma.
 """
 
 from __future__ import annotations
@@ -31,13 +32,9 @@ from .power_series import fraction_str, num
 
 
 class LeavesDomainError(ValueError):
-    """The base iteration leaves its domain: ``base_step`` from
-    s <= lambda*t, or ``step``, ``iterate`` and the closed forms at the
-    first s_i <= 0."""
-
-
-class NonpositiveLimitError(ValueError):
-    """t_infinity would be <= 0 (needs s0 > lambda*t0)."""
+    """The base iteration leaves its domain: ``base_step`` and
+    ``t_infinity`` from s <= lambda*t, or ``step``, ``iterate`` and the
+    closed forms at the first s_i <= 0."""
 
 
 @dataclass(frozen=True)
@@ -95,7 +92,7 @@ def t_infinity(t0, s0, lam):
     """Limit of the base iteration, (s0 - lam*t0) / (1 - lam)."""
     t0, s0, lam = num(t0), num(s0), num(lam)
     if s0 <= lam * t0 and s0 != t0:
-        raise NonpositiveLimitError("needs s0 > lambda*t0")
+        raise LeavesDomainError("needs s0 > lambda*t0")
     return (s0 - lam * t0) / (1 - lam)
 
 
@@ -192,19 +189,6 @@ def _chain(n: int, state0: PrismaState, cfg: IterConfig, horner: bool = True):
     return K, ps, qs
 
 
-def _check_s_n(n: int, state0: PrismaState, cfg: IterConfig) -> None:
-    """LeavesDomainError unless s_1, ..., s_n > 0, as the walk of _chain.
-
-    s_i decreases strictly, so s_n > 0 decides it, and (1 - lam) s_n =
-    s0 - lam*t0 + lam^(n+1)*(t0 - s0) needs no walk.  Only when that
-    fails does the walk run, to name the first failing index."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    t0, s0, lam = state0.t, state0.s, cfg.lam
-    if not s0 - lam * t0 + lam ** (n + 1) * (t0 - s0) > 0:
-        _chain(n, state0, cfg, horner=False)
-
-
 def closed_form_xn(n: int, state0: PrismaState, cfg: IterConfig):
     """Exact unrolled solution of x_{i+1} = x_i^2 / (R s_i^k (t_i - s_i)^l):
 
@@ -218,24 +202,16 @@ def closed_form_xn(n: int, state0: PrismaState, cfg: IterConfig):
     LeavesDomainError where ``iterate`` leaves the prisma before x_n.
 
     The product is evaluated as x_n = K lam^(l n) q_n, where q_0 = x0/K
-    and q_{i+1} = q_i^2 / p_i^k (Horner-style over the exponents 2^(n-1-i)),
-    so q_n = (x0/K)^(2^n) when k = 0.  Multiplying the factors out
-    separately would cross-reduce two fractions of thousands of bits at
-    every product; here squaring needs no gcd and every other product has
-    one small operand.  Neither the p_i nor the q_i depend on n: one chain
-    per start is kept and extended (see _chain), so calls for n = 0, 1,
-    ..., N on one start cost one walk to N.  For k = 0, q_n is the one
-    power (x0/K)^(2^n), not n squarings, which would round floats
-    differently.
+    and q_{i+1} = q_i^2 / p_i^k (Horner-style over the exponents 2^(n-1-i)).
+    Multiplying the factors out separately would cross-reduce two
+    fractions of thousands of bits at every product; here squaring needs
+    no gcd and every other product has one small operand.  Neither the
+    p_i nor the q_i depend on n: one chain per start is kept and extended
+    (see _chain), so calls for n = 0, 1, ..., N on one start cost one
+    walk to N.
     """
-    if cfg.k == 0:
-        K, _, qs = _chain(0, state0, cfg)  # K and q_0, no walk
-        _check_s_n(n, state0, cfg)
-        q = qs[0] ** (2**n)
-    else:
-        K, _, qs = _chain(n, state0, cfg)
-        q = qs[n]
-    return K * cfg.lam ** (cfg.l * n) * q
+    K, _, qs = _chain(n, state0, cfg)
+    return K * cfg.lam ** (cfg.l * n) * qs[n]
 
 
 def closed_form_xn_bound(n: int, state0: PrismaState, cfg: IterConfig):
@@ -245,16 +221,11 @@ def closed_form_xn_bound(n: int, state0: PrismaState, cfg: IterConfig):
 
     Evaluated as K_n (x0/K_n)^(2^n) lam^(l n), for the reason given in
     closed_form_xn: the power needs no gcd and each product that follows
-    has one small operand.  For k > 0, p_n comes from the chain that
-    closed_form_xn extends, without its Horner values.  Raises as
-    closed_form_xn does.
+    has one small operand.  p_n comes from the chain that closed_form_xn
+    extends, without its Horner values.  Raises as closed_form_xn does.
     """
     lam = cfg.lam
-    if cfg.k == 0:
-        _check_s_n(n, state0, cfg)
-        p_n = rho(state0.t, state0.s, lam) ** 0  # p_n**k is 1, exact iff the data are
-    else:
-        p_n = _chain(n, state0, cfg, horner=False)[1][n]
+    p_n = _chain(n, state0, cfg, horner=False)[1][n]
     K_n = (cfg.R * p_n**cfg.k * state0.s**cfg.k * lam**cfg.l
            * (state0.t - state0.s) ** cfg.l)
     return K_n * (state0.x / K_n) ** (2**n) * lam ** (cfg.l * n)

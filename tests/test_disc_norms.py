@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from lienorm.disc_norms import (
     DivergenceError,
     InconclusiveError,
-    InfiniteNormError,
     LocalOpBound,
     WeightSequence,
     borel_bound,
@@ -97,7 +96,7 @@ class TestOrderFiltration:
         assert order_filtration_norm(f, 2, 1) == pytest.approx(2)
 
     def test_infinite_when_order_low(self):
-        with pytest.raises(InfiniteNormError):
+        with pytest.raises(DivergenceError, match="below filtration index"):
             order_filtration_norm(series([0, 1]), 2, 1)
 
     def test_zero_series(self):

@@ -36,7 +36,9 @@ SUBCOMMANDS = [
     (["defset", "idempotent", "--set", "diagonal", "--grid", "2"],
      ["power_series", "defsets"]),
     (["norms", "lambda-p", "--grid", "2"], ["power_series", "disc_norms"]),
-    (["threshold"], ["power_series", "disc_norms", "prisma", "normalform"]),
+    (["normalize", "--steps", "1"], ["power_series", "prisma", "normalform"]),
+    (["certify", "--t0", "1/250"], ["power_series", "prisma", "normalform"]),
+    (["threshold"], ["power_series", "prisma", "normalform"]),
     (["qtable", "--n", "3,x"], []),  # an argparse error
 ]
 

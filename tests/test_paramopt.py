@@ -433,6 +433,14 @@ def test_newton_on_a_linear_objective_stops_at_its_start():
     assert (tuple(x), gnorm, iterations) == ((0.25, 0.5), math.hypot(2, 4), 1)
 
 
+def test_newton_out_of_iterations_reports_the_norm_where_it_stops():
+    # one Newton step on a quartic moves a third of the way to its maximum
+    f = lambda lam, mu: -(lam - 0.3) ** 4 - (mu - 0.6) ** 4
+    x, gnorm, iterations = paramopt._newton_polish(f, (0.2, 0.5), iters=1)
+    assert iterations == 1 and x != (0.2, 0.5)
+    assert gnorm == math.hypot(*paramopt._complex_step_grad(f, *x))
+
+
 def test_results_hold_plain_floats():
     for res in (maximize_basic(), maximize_equalized(), minimize_q(3)):
         for field in dataclasses.fields(res):

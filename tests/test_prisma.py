@@ -13,7 +13,6 @@ from lienorm import prisma
 from lienorm.prisma import (
     IterConfig,
     LeavesDomainError,
-    NonpositiveLimitError,
     PrismaState,
     base_step,
     closed_form_xn,
@@ -61,8 +60,11 @@ class TestTInfinity:
         assert abs(t_infinity(1.0, 0.7, 1e-12) - 0.7) < 1e-9
 
     def test_nonpositive_limit(self):
-        with pytest.raises(NonpositiveLimitError):
+        # the start base_step already rejects: s0 <= lambda*t0
+        with pytest.raises(LeavesDomainError, match=r"^needs s0 > lambda\*t0$"):
             t_infinity(F(1), F(1, 8), F(1, 2))
+        with pytest.raises(LeavesDomainError):
+            base_step(F(1), F(1, 8), F(1, 2))
 
     def test_closed_form_matches_iterates(self):
         # t_n = t_inf + lam^n (t0 - t_inf) exactly, and s_n = t_{n+1}
@@ -147,10 +149,24 @@ class TestClosedForm:
             assert value == st_n.x
 
     def test_float_state_matches_iterates(self):
-        cfg = IterConfig(R=1.5, k=2, l=1, lam=0.5)
         state = PrismaState(1.0, 0.8, 0.01)
-        for n, st_n in enumerate(iterate(state, cfg, 4)):
-            assert closed_form_xn(n, state, cfg) == pytest.approx(st_n.x, rel=1e-12)
+        for k in (2, 0):
+            cfg = IterConfig(R=1.5, k=k, l=1, lam=0.5)
+            for n, st_n in enumerate(iterate(state, cfg, 4)):
+                assert closed_form_xn(n, state, cfg) == pytest.approx(st_n.x, rel=1e-12)
+
+    def test_float_start_leaves_where_iterate_does(self):
+        # s_1 = 0.4 - 0.25*(2.0 - 0.4) rounds to 0.0: there is no x_1,
+        # whatever the pole orders, though (1 - lam) s_1 computed in closed
+        # form is positive
+        state = PrismaState(2.0, 0.4, 0.5)
+        for k in (0, 1):
+            cfg = IterConfig(R=1.0, k=k, l=1, lam=0.25)
+            with pytest.raises(LeavesDomainError):
+                iterate(state, cfg, 1)
+            for form in (closed_form_xn, closed_form_xn_bound):
+                with pytest.raises(LeavesDomainError, match=r"^s_1 <= 0"):
+                    form(1, state, cfg)
 
 
 def _random_rational(rng, lo=1, hi=8):
@@ -253,8 +269,7 @@ class TestRandomizedExactness:
                     form(n, state, cfg)
 
     def test_pole_free_closed_forms_name_the_first_index_that_leaves(self):
-        # k = 0 decides the domain from s_n alone; the message still names
-        # the first i with s_i <= 0 (s_2 = -5/32 here)
+        # the message names the first i with s_i <= 0 (s_2 = -5/32 here)
         state = PrismaState(F(1), F(1, 2), F(1, 16))
         cfg = IterConfig(R=F(1), k=0, l=1, lam=F(3, 4))
         for form in (closed_form_xn, closed_form_xn_bound):
@@ -294,27 +309,32 @@ def _fresh_outcomes(state, cfg):
             for n in range(10) for form in (closed_form_xn, closed_form_xn_bound)}
 
 
+def _chain_start(rng, ks):
+    """A seeded start of any number kind, with pole order k from ks."""
+    kind = rng.choice(["fraction", "float", "mixed"])
+
+    def conv(v):
+        if kind == "float" or (kind == "mixed" and rng.random() < 0.5):
+            return float(v)
+        return v
+
+    t = F(rng.randint(5, 12), 4)
+    state = PrismaState(conv(t), conv(t * F(rng.randint(1, 19), 20)),
+                        conv(F(rng.randint(1, 999), 1000)))
+    cfg = IterConfig(R=conv(F(rng.randint(1, 4), rng.randint(1, 2))),
+                     k=rng.choice(ks),
+                     l=rng.choice([0, F(1, 2), 1, 2]),
+                     lam=conv(F(rng.randint(1, 7), 8)))
+    return state, cfg
+
+
 def _chain_starts(seed, count):
-    """Seeded starts of every number kind, many of which leave the prisma."""
+    """count seeded starts of every number kind, many of which leave the
+    prisma, then count // 3 more with k = 0, F(0) or 0.0."""
     rng = random.Random(seed)
-    starts = []
-    for _ in range(count):
-        kind = rng.choice(["fraction", "float", "mixed"])
-
-        def conv(v):
-            if kind == "float" or (kind == "mixed" and rng.random() < 0.5):
-                return float(v)
-            return v
-
-        t = F(rng.randint(5, 12), 4)
-        state = PrismaState(conv(t), conv(t * F(rng.randint(1, 19), 20)),
-                            conv(F(rng.randint(1, 999), 1000)))
-        cfg = IterConfig(R=conv(F(rng.randint(1, 4), rng.randint(1, 2))),
-                         k=rng.choice([F(1, 2), 1, F(3, 2), 2, 0.5, 1.0]),
-                         l=rng.choice([0, F(1, 2), 1, 2]),
-                         lam=conv(F(rng.randint(1, 7), 8)))
-        starts.append((state, cfg))
-    return starts
+    ks = [F(1, 2), 1, F(3, 2), 2, 0.5, 1.0]
+    return ([_chain_start(rng, ks) for _ in range(count)]
+            + [_chain_start(rng, [0, F(0), 0.0]) for _ in range(count // 3)])
 
 
 def _calls(rng, order):
@@ -414,12 +434,14 @@ class TestChain:
             return rho(t, s, lam)
 
         monkeypatch.setattr(prisma, "rho", counted)
-        state = PrismaState(F(1), F(3, 4), F(1, 16))
-        cfg = IterConfig(R=F(1), k=1, l=1, lam=F(1, 2))
-        for n in range(13):
-            closed_form_xn(n, state, cfg)
-        # p_0 and one multiplier for each of p_1, ..., p_12
-        assert len(calls) <= 13
+        for k in (1, 0):
+            calls.clear()
+            state = PrismaState(F(1), F(3, 4), F(1, 16))
+            cfg = IterConfig(R=F(1), k=k, l=1, lam=F(1, 2))
+            for n in range(13):
+                closed_form_xn(n, state, cfg)
+            # p_0 and one multiplier for each of p_1, ..., p_12
+            assert len(calls) <= 13
 
 
 class TestParametric:
