@@ -32,6 +32,11 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError("not an exact number: %r (%s)" % (text, exc))
 
 
+def _fraction_list(text: str) -> list[Fraction]:
+    # no empty entry is skipped: a coefficient's position is its power
+    return [_fraction(p) for p in text.split(",")]
+
+
 def _int_list(text: str) -> list[int]:
     try:
         values = [int(p) for p in text.split(",") if p]
@@ -218,8 +223,7 @@ def _cmd_norms(args):
     from .power_series import TruncSeries
 
     if args.check == "nagumo":
-        coeffs = [Fraction(c) for c in args.coeffs.split(",")]
-        f = TruncSeries(coeffs)
+        f = TruncSeries(args.coeffs)
         ok = disc_norms.nagumo_check(f, args.k, args.t, args.s)
         return {"nagumo_holds": ok}, 0
     if args.check == "borel":
@@ -342,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("norms", help="norm inequality checks")
     p.add_argument("check", choices=["nagumo", "borel", "lambda-p"])
-    p.add_argument("--coeffs", default="0,0,1",
+    p.add_argument("--coeffs", type=_fraction_list, default="0,0,1",
                    help="comma-separated exact coefficients (nagumo)")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--t", type=_fraction, default=Fraction(1))

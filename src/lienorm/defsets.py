@@ -28,13 +28,20 @@ class UnsupportedShapeError(TypeError):
 class BoundaryFn:
     """Monotone nondecreasing boundary expression on (0, 1]."""
 
+    op: str | None = None  # the JSON name; None: the node has no JSON form
     _fields: tuple[str, ...] = ()
 
     def __call__(self, t: float) -> float:
         raise NotImplementedError
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        if self.op is None:
+            raise UnsupportedShapeError("%s has no JSON form" % type(self).__name__)
+        d = {"op": self.op}
+        for name in self._fields:
+            v = getattr(self, name)
+            d[name] = v.to_dict() if isinstance(v, BoundaryFn) else fraction_str(v)
+        return d
 
     def __eq__(self, other):
         if not isinstance(other, BoundaryFn):
@@ -52,9 +59,15 @@ class BoundaryFn:
             return "BoundaryFn(<callable>)"
 
 
+def _require_nodes(op, *operands):
+    if not all(isinstance(node, BoundaryFn) for node in operands):
+        raise UnsupportedShapeError("%s needs boundary nodes, got %r" % (op, operands))
+
+
 class Linear(BoundaryFn):
     """t -> a*t + c with a > 0."""
 
+    op = "linear"
     _fields = ("a", "c")
 
     def __init__(self, a, c=0):
@@ -66,13 +79,11 @@ class Linear(BoundaryFn):
     def __call__(self, t):
         return self.a * t + self.c
 
-    def to_dict(self):
-        return {"op": "linear", "a": fraction_str(self.a), "c": fraction_str(self.c)}
-
 
 class Power(BoundaryFn):
     """t -> gamma * t**k with gamma > 0, k > 0."""
 
+    op = "power"
     _fields = ("gamma", "k")
 
     def __init__(self, gamma, k):
@@ -86,41 +97,33 @@ class Power(BoundaryFn):
             raise ValueError("boundary evaluated at t < 0")
         return self.gamma * float(t) ** float(self.k)
 
-    def to_dict(self):
-        return {"op": "power", "gamma": fraction_str(self.gamma),
-                "k": fraction_str(self.k)}
-
 
 class Compose(BoundaryFn):
     """outer(inner(t))."""
 
+    op = "compose"
     _fields = ("outer", "inner")
 
     def __init__(self, outer: BoundaryFn, inner: BoundaryFn):
+        _require_nodes(self.op, outer, inner)
         self.outer = outer
         self.inner = inner
 
     def __call__(self, t):
         return self.outer(self.inner(t))
 
-    def to_dict(self):
-        return {"op": "compose", "outer": self.outer.to_dict(),
-                "inner": self.inner.to_dict()}
-
 
 class Min(BoundaryFn):
+    op = "min"
     _fields = ("left", "right")
 
     def __init__(self, left: BoundaryFn, right: BoundaryFn):
+        _require_nodes(self.op, left, right)
         self.left = left
         self.right = right
 
     def __call__(self, t):
         return min(self.left(t), self.right(t))
-
-    def to_dict(self):
-        return {"op": "min", "left": self.left.to_dict(),
-                "right": self.right.to_dict()}
 
 
 class CallableBoundary(BoundaryFn):
@@ -138,27 +141,25 @@ class CallableBoundary(BoundaryFn):
     def __call__(self, t):
         return self.fn(t)
 
-    def to_dict(self):
-        raise UnsupportedShapeError("callable boundary has no JSON form")
 
-
-def _parse_num(x):
-    if isinstance(x, str):
-        return Fraction(x)
-    return x
+_OPS = {cls.op: cls for cls in (Linear, Power, Compose, Min)}
 
 
 def boundary_from_dict(d: dict) -> BoundaryFn:
-    op = d.get("op")
-    if op == "linear":
-        return Linear(_parse_num(d["a"]), _parse_num(d["c"]))
-    if op == "power":
-        return Power(_parse_num(d["gamma"]), _parse_num(d["k"]))
-    if op == "compose":
-        return Compose(boundary_from_dict(d["outer"]), boundary_from_dict(d["inner"]))
-    if op == "min":
-        return Min(boundary_from_dict(d["left"]), boundary_from_dict(d["right"]))
-    raise UnsupportedShapeError("unknown boundary op %r" % op)
+    """The node that to_dict wrote: an object is a nested node, a string
+    a "p/q" Fraction, and any other value passes as is."""
+    op = d.get("op") if isinstance(d, dict) else None
+    if not isinstance(op, str) or op not in _OPS:
+        raise UnsupportedShapeError("not a boundary node: %r" % (d,))
+    cls = _OPS[op]
+    try:
+        values = [d[name] for name in cls._fields]
+        return cls(*(boundary_from_dict(v) if isinstance(v, dict)
+                     else Fraction(v) if isinstance(v, str) else v for v in values))
+    except KeyError as exc:
+        raise UnsupportedShapeError("%s boundary needs field %s" % (op, exc)) from None
+    except ZeroDivisionError as exc:
+        raise ValueError("%s boundary has a zero denominator: %s" % (op, exc)) from None
 
 
 def _compose_boundaries(outer: BoundaryFn, inner: BoundaryFn) -> BoundaryFn:
@@ -183,17 +184,13 @@ class DefSet:
 
     S = 1.0  # every set lives in (0, S]^2
 
-    def __init__(self, boundary: BoundaryFn | None = None,
-                 closed_diagonal: bool = False):
-        if closed_diagonal:
-            if boundary is not None:
-                raise ValueError("closed diagonal carries no boundary function")
-        elif not isinstance(boundary, BoundaryFn):
+    def __init__(self, boundary: BoundaryFn | None):
+        """A boundary of None gives the closed subdiagonal."""
+        if boundary is not None and not isinstance(boundary, BoundaryFn):
             raise UnsupportedShapeError(
                 "definition sets need a BoundaryFn, got %r" % (boundary,)
             )
         self.boundary = boundary
-        self.closed_diagonal = closed_diagonal
 
     # -- canonical sets -------------------------------------------------
 
@@ -205,7 +202,7 @@ class DefSet:
     @classmethod
     def closed_subdiagonal(cls) -> "DefSet":
         """Delta-bar = {s <= t}."""
-        return cls(None, closed_diagonal=True)
+        return cls(None)
 
     @classmethod
     def cone(cls, alpha) -> "DefSet":
@@ -227,7 +224,7 @@ class DefSet:
     def contains(self, t, s) -> bool:
         if not (0 < s <= self.S and 0 < t <= self.S):
             raise ValueError("point (%s, %s) outside (0, %s]^2" % (t, s, self.S))
-        if self.closed_diagonal:
+        if self.boundary is None:
             return s <= t
         return s < self.boundary(t)
 
@@ -236,7 +233,7 @@ class DefSet:
         return all(self.contains(t, s) == conv.contains(t, s) for t, s in grid)
 
     def to_dict(self) -> dict:
-        if self.closed_diagonal:
+        if self.boundary is None:
             return {"set": "closed_subdiagonal", "S": self.S}
         return {"set": "boundary", "S": self.S, "boundary": self.boundary.to_dict()}
 
@@ -245,11 +242,11 @@ class DefSet:
         if d.get("S", cls.S) != cls.S:
             raise ValueError("definition sets live in (0, 1]^2, got S=%r" % (d["S"],))
         if d.get("set") == "closed_subdiagonal":
-            return cls(None, closed_diagonal=True)
+            return cls(None)
         return cls(boundary_from_dict(d["boundary"]))
 
     def __repr__(self):
-        if self.closed_diagonal:
+        if self.boundary is None:
             return "DefSet(closed subdiagonal)"
         return "DefSet(s < %r)" % (self.boundary,)
 
@@ -275,9 +272,9 @@ def convolve(A: DefSet, B: DefSet) -> DefSet:
     """
     _require_defset(A)
     _require_defset(B)
-    if A.closed_diagonal:
+    if A.boundary is None:
         return B
-    if B.closed_diagonal:
+    if B.boundary is None:
         return A
     return DefSet(_compose_boundaries(B.boundary, A.boundary))
 
@@ -335,7 +332,7 @@ def defset_of_product(alphas) -> DefSet:
 def tangent_slope_at_origin(A: DefSet) -> float:
     """Boundary slope at 0, Richardson-extrapolated from steps 1e-5, 5e-6."""
     _require_defset(A)
-    if A.closed_diagonal:
+    if A.boundary is None:
         return 1.0
     s1 = A.boundary(1e-5) / 1e-5
     s2 = A.boundary(5e-6) / 5e-6

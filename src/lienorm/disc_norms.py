@@ -65,15 +65,6 @@ class MajorantValue:
     radius: float
     exact: Fraction | None = None
 
-    def __float__(self):
-        return self.value
-
-    def __le__(self, other):
-        return self.value <= float(other)
-
-    def __lt__(self, other):
-        return self.value < float(other)
-
 
 def _majorant_exact(f: TruncSeries, t) -> Fraction:
     t = _exact(t)

@@ -89,9 +89,13 @@ def base_step(t, s, lam):
 
 
 def t_infinity(t0, s0, lam):
-    """Limit of the base iteration, (s0 - lam*t0) / (1 - lam)."""
+    """Limit of the base iteration, (s0 - lam*t0) / (1 - lam); needs
+    t0 >= s0 > 0 (the diagonal start t0 = s0 is fixed) and 0 < lam < 1."""
     t0, s0, lam = num(t0), num(s0), num(lam)
-    if s0 <= lam * t0 and s0 != t0:
+    if not (t0 >= s0 > 0 and 0 < lam < 1):
+        raise ValueError("t_infinity needs t0 >= s0 > 0 and 0 < lambda < 1, "
+                         "got t0=%s s0=%s lambda=%s" % (t0, s0, lam))
+    if s0 <= lam * t0:
         raise LeavesDomainError("needs s0 > lambda*t0")
     return (s0 - lam * t0) / (1 - lam)
 

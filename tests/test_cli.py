@@ -384,6 +384,39 @@ class TestExitCodes:
         assert not target.exists()
 
 
+MALFORMED_SETS = {
+    "compose-of-numbers": '{"op":"compose","outer":1,"inner":1}',
+    "linear-without-c": '{"op":"linear","a":"1/2"}',
+    "list": '[1]',
+    "min-without-right": '{"op":"min","left":{"op":"linear","a":1,"c":0}}',
+    "zero-denominator": '{"op":"linear","a":"1/0","c":0}',
+}
+# convolve returns an --other set unchanged when --set is closed-diagonal,
+# so a node that slips past the reader reaches stdout there
+MALFORMED = {
+    **{"set-" + k: ["defset", "contains", "--set", s, "--t", "1", "--s", "1/2"]
+       for k, s in MALFORMED_SETS.items()},
+    **{"other-" + k: ["defset", "convolve", "--set", "closed-diagonal", "--other", s]
+       for k, s in MALFORMED_SETS.items()},
+    "coeffs-zero-denominator": ["norms", "nagumo", "--coeffs", "1/0"],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_is_exit_two(capsys, argv):
+    code, out, err = run_capture(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("coeffs", ["0,1/0", "1,,2", "1,2,", ""])
+def test_coeffs_are_read_by_argparse(capsys, coeffs):
+    # an empty entry is an error too: a coefficient's position is its power
+    code, out, err = run_capture(capsys, "norms", "nagumo", "--coeffs=" + coeffs)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage:") and "argument --coeffs: not an exact number" in err
+
+
 # stdout, stderr and exit code of these runs, recorded before the prisma
 # exponent, the parametric flag and the definition-set domain S were
 # removed; the normalize, morse-trace and nagumo cases were recorded

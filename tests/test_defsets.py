@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction as F
 
@@ -208,7 +209,7 @@ class TestSerialization:
 
     def test_closed_diagonal_round_trip(self):
         D = DefSet.closed_subdiagonal()
-        assert DefSet.from_dict(D.to_dict()).closed_diagonal
+        assert DefSet.from_dict(D.to_dict()).boundary is None
 
     def test_from_dict_accepts_only_the_unit_square(self):
         doc = DefSet.cone(2).to_dict()
@@ -226,6 +227,55 @@ class TestSerialization:
     def test_unknown_op_rejected(self):
         with pytest.raises(UnsupportedShapeError):
             boundary_from_dict({"op": "spiral"})
+
+    def test_every_op_round_trips(self):
+        tree = Min(Compose(Power(F(1, 2), 2), Linear(F(1, 3), F(-1, 8))), Linear(0.5, 0))
+        doc = tree.to_dict()
+        assert json.dumps(doc) == (
+            '{"op": "min", "left": {"op": "compose", '
+            '"outer": {"op": "power", "gamma": "1/2", "k": 2}, '
+            '"inner": {"op": "linear", "a": "1/3", "c": "-1/8"}}, '
+            '"right": {"op": "linear", "a": 0.5, "c": 0}}')
+        back = boundary_from_dict(json.loads(json.dumps(doc)))
+        assert back == tree and repr(back) == repr(tree)
+        assert back.to_dict() == doc
+
+
+LINEAR = {"op": "linear", "a": 1, "c": 0}
+
+
+class TestMalformedGrammar:
+    """What the reader rejects, with the class the CLI maps to exit 2."""
+
+    @pytest.mark.parametrize("doc, error", [
+        pytest.param({"op": "compose", "outer": 1, "inner": 1}, UnsupportedShapeError,
+                     id="compose-of-numbers"),
+        pytest.param({"op": "compose", "outer": LINEAR, "inner": "1/2"},
+                     UnsupportedShapeError, id="compose-of-a-string"),
+        pytest.param({"op": "linear", "a": "1/2"}, UnsupportedShapeError,
+                     id="linear-without-c"),
+        pytest.param([1], UnsupportedShapeError, id="list"),
+        pytest.param("linear", UnsupportedShapeError, id="string"),
+        pytest.param({"op": ["linear"]}, UnsupportedShapeError, id="unhashable-op"),
+        pytest.param({"op": "min", "left": LINEAR}, UnsupportedShapeError,
+                     id="min-without-right"),
+        pytest.param({"op": "linear", "a": "1/0", "c": 0}, ValueError,
+                     id="zero-denominator"),
+        pytest.param({"op": "min", "left": LINEAR,
+                      "right": {"op": "power", "gamma": 1, "k": "2/0"}},
+                     ValueError, id="nested-zero-denominator"),
+    ])
+    def test_rejected(self, doc, error):
+        with pytest.raises(error) as exc:
+            boundary_from_dict(doc)
+        assert exc.type is error
+
+    @pytest.mark.parametrize("cls", [Compose, Min])
+    def test_operands_must_be_nodes(self, cls):
+        with pytest.raises(UnsupportedShapeError):
+            cls(Linear(1, 0), 1)
+        with pytest.raises(UnsupportedShapeError):
+            cls(0.5, Linear(1, 0))
 
 
 def _same(got, want):

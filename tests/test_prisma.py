@@ -66,6 +66,19 @@ class TestTInfinity:
         with pytest.raises(LeavesDomainError):
             base_step(F(1), F(1, 8), F(1, 2))
 
+    @pytest.mark.parametrize("t0, s0, lam", [
+        (1, 2, F(1, 2)),       # s0 > t0: base_step rejects this start
+        (1, F(1, 2), 1),       # lambda = 1: the limit divides by zero
+        (1, F(1, 2), 0),
+        (1, F(1, 2), -1),
+        (1, 0, F(1, 2)),
+        (1.0, 0.5, 1.5),
+    ])
+    def test_bad_start_or_lambda_is_a_value_error(self, t0, s0, lam):
+        with pytest.raises(ValueError, match="t0 >= s0 > 0 and 0 < lambda < 1") as exc:
+            t_infinity(t0, s0, lam)
+        assert exc.type is ValueError
+
     def test_closed_form_matches_iterates(self):
         # t_n = t_inf + lam^n (t0 - t_inf) exactly, and s_n = t_{n+1}
         t0, s0, lam = F(1), F(1, 2), F(1, 4)
