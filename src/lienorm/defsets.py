@@ -146,20 +146,29 @@ _OPS = {cls.op: cls for cls in (Linear, Power, Compose, Min)}
 
 
 def boundary_from_dict(d: dict) -> BoundaryFn:
-    """The node that to_dict wrote: an object is a nested node, a string
-    a "p/q" Fraction, and any other value passes as is."""
+    """The node that to_dict wrote: each field is an object (a nested
+    node), a string (a "p/q" Fraction) or a finite number that is no
+    bool."""
     op = d.get("op") if isinstance(d, dict) else None
     if not isinstance(op, str) or op not in _OPS:
         raise UnsupportedShapeError("not a boundary node: %r" % (d,))
     cls = _OPS[op]
     try:
-        values = [d[name] for name in cls._fields]
-        return cls(*(boundary_from_dict(v) if isinstance(v, dict)
-                     else Fraction(v) if isinstance(v, str) else v for v in values))
+        return cls(*[_field(op, name, d[name]) for name in cls._fields])
     except KeyError as exc:
         raise UnsupportedShapeError("%s boundary needs field %s" % (op, exc)) from None
     except ZeroDivisionError as exc:
         raise ValueError("%s boundary has a zero denominator: %s" % (op, exc)) from None
+
+
+def _field(op, name, v):
+    if isinstance(v, dict):
+        return boundary_from_dict(v)
+    if isinstance(v, str):
+        return Fraction(v)
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise UnsupportedShapeError("%s boundary field %s is no number: %r" % (op, name, v))
+    return v
 
 
 def _compose_boundaries(outer: BoundaryFn, inner: BoundaryFn) -> BoundaryFn:
@@ -239,9 +248,12 @@ class DefSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DefSet":
+        kind = d.get("set") if isinstance(d, dict) else None
+        if not (kind == "closed_subdiagonal" or kind == "boundary" and "boundary" in d):
+            raise UnsupportedShapeError("not a definition set: %r" % (d,))
         if d.get("S", cls.S) != cls.S:
             raise ValueError("definition sets live in (0, 1]^2, got S=%r" % (d["S"],))
-        if d.get("set") == "closed_subdiagonal":
+        if kind == "closed_subdiagonal":
             return cls(None)
         return cls(boundary_from_dict(d["boundary"]))
 

@@ -59,11 +59,10 @@ def _upper_float(x: Fraction) -> float:
 
 @dataclass(frozen=True)
 class MajorantValue:
-    """A certified upper bound sum(|a_n| t^n) at radius t."""
+    """sum(|a_n| t^n), exact and as a certified float upper bound."""
 
     value: float
-    radius: float
-    exact: Fraction | None = None
+    exact: Fraction
 
 
 def _majorant_exact(f: TruncSeries, t) -> Fraction:
@@ -79,7 +78,7 @@ def _majorant_exact(f: TruncSeries, t) -> Fraction:
 def majorant_norm(f: TruncSeries, t) -> MajorantValue:
     """sum(|a_n| t^n) over the stored coefficients of f."""
     exact = _majorant_exact(f, t)
-    return MajorantValue(_upper_float(exact), float(t), exact)
+    return MajorantValue(_upper_float(exact), exact)
 
 
 def nagumo_check(f: TruncSeries, k: int, t, s) -> bool:
@@ -146,18 +145,6 @@ class LocalOpBound:
     def __post_init__(self):
         if self.C < 0 or self.k < 0 or self.l < 0:
             raise ValueError("C, k, l must all be >= 0")
-
-    def evaluate(self, t, s) -> float:
-        if not 0 < s < t:
-            raise ValueError("need 0 < s < t")
-        return self.C / (s**self.k * (t - s) ** self.l)
-
-    def to_dict(self) -> dict:
-        return {"C": float(self.C), "k": float(self.k), "l": float(self.l)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LocalOpBound":
-        return cls(d["C"], d["k"], d["l"])
 
 
 def compose_local_bounds(b1: LocalOpBound, b2: LocalOpBound) -> LocalOpBound:

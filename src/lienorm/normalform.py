@@ -91,9 +91,9 @@ def lie_iterate_formal(a: TruncSeries, b0: TruncSeries, steps: int) -> LieTrace:
     rounds = []
     for _ in range(steps + 1):
         v = j_map(b)
-        sigma = lie_exp(v, zvar, -1)
+        sigma = lie_exp(v, zvar)
         rounds.append(LieRound(b, v, f, sigma))
-        f = lie_exp(v, f, -1)
+        f = lie_exp(v, f)
         b = f - a
     return LieTrace(tuple(rounds))
 
@@ -238,11 +238,10 @@ def lie_iterate_certified(cert: Certificate, steps: int):
     if not cert.cond_iii:
         raise CertificateBreachError(0, "mu <= lambda: base iteration undefined")
     cfg = prisma.IterConfig(R=cert.R, k=1, l=2, lam=cert.lam)
-    t, s = cert.t0, cert.s0
-    x = cert.initial_bound()
+    state = prisma.PrismaState(cert.t0, cert.s0, cert.initial_bound())
     out = []
     for n in range(steps + 1):
-        state = prisma.PrismaState(t, s, x)
+        t, s, x = state.t, state.s, state.x
         if not x < cert.r * (t - s):
             raise CertificateBreachError(
                 n, "step %d: bound %g leaves the tetrahedron r*(t-s) = %g"
@@ -253,8 +252,7 @@ def lie_iterate_certified(cert: Certificate, steps: int):
                 n, "step %d: bound %g leaves the quadratic invariant set" % (n, x)
             )
         out.append((t, s, x))
-        nxt = prisma.step(state, cfg)
-        t, s, x = nxt.t, nxt.s, nxt.x
+        state = prisma.step(state, cfg)
     return out
 
 

@@ -24,8 +24,8 @@ shift built on the same kernel (see :meth:`TruncSeries.compose`).
 
 A derivation ``v(z) d/dz`` is given by its coefficient series ``v``.
 The module applies derivations to series, takes the terminating Lie
-exponential of a derivation of order >= 2, and provides the division
-map sending a series ``b`` with ``b(0)=0`` to the derivation
+exponential e^{-v} of a derivation of order >= 2, and provides the
+division map sending a series ``b`` with ``b(0)=0`` to the derivation
 ``(b/z) d/dz``.
 
 Two number rules live here.  Series coefficients must be exact:
@@ -67,8 +67,6 @@ def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
         return Fraction(x)
     if isinstance(x, float):
         raise TypeError("coefficients must be exact rationals, got float %r" % x)
@@ -408,7 +406,7 @@ class TruncSeries:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TruncSeries":
-        return cls([Fraction(s) for s in d["coeffs"]], d["trunc_order"])
+        return cls(d["coeffs"], d["trunc_order"])
 
     def __repr__(self):
         terms = []
@@ -510,15 +508,14 @@ def j_map(b: TruncSeries) -> TruncSeries:
     return _reduced(b._num[1:] or (0,), b._den, max(b.trunc_order - 1, 0))
 
 
-def lie_exp(v: TruncSeries, f: TruncSeries, sign: int = -1) -> TruncSeries:
-    """sum_k sign^k v^k(f) / k!, exact and terminating.
+def lie_exp(v: TruncSeries, f: TruncSeries) -> TruncSeries:
+    """e^{-v} f = sum_k (-1)^k v^k(f) / k!, exact and terminating; e^{v} f
+    is lie_exp(-v, f).
 
     Each application of v raises the order by order(v) - 1, so the sum
     terminates once the terms leave the truncation window; this needs
     order(v) >= 2 (the zero derivation counts, its order is +inf).
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     if v.order is not math.inf and v.order <= 1:
         raise NonTerminatingExponentialError(
             "lie_exp needs order(v) >= 2, got %s" % v.order
@@ -533,5 +530,5 @@ def lie_exp(v: TruncSeries, f: TruncSeries, sign: int = -1) -> TruncSeries:
         term = apply_derivation(v, term)
         if term._eff_order() > total.trunc_order:
             break
-        total = total + term.scale(Fraction(sign**k, fact))
+        total = total + term.scale(Fraction((-1) ** k, fact))
     return total

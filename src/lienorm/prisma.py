@@ -6,7 +6,7 @@ the third coordinate against a pole factor.  A state may carry a fourth
 coordinate alpha, which each step increases by the current x; a state
 without one stays without.  Values enter through
 :func:`lienorm.power_series.num`: ``PrismaState`` coerces its
-coordinates and ``base_step`` and ``t_infinity`` their arguments, so an
+coordinates and ``t_infinity`` its arguments, so an
 int or ``Fraction`` is held as a ``Fraction`` and anything else as a
 float.  From there plain arithmetic keeps everything exact whenever the
 data are rational and the pole orders are integers, so the closed forms
@@ -32,9 +32,9 @@ from .power_series import fraction_str, num
 
 
 class LeavesDomainError(ValueError):
-    """The base iteration leaves its domain: ``base_step`` and
-    ``t_infinity`` from s <= lambda*t, or ``step``, ``iterate`` and the
-    closed forms at the first s_i <= 0."""
+    """The base iteration leaves its domain: ``t_infinity`` from
+    s <= lambda*t, or ``step``, ``iterate`` and the closed forms at the
+    first s_i <= 0."""
 
 
 @dataclass(frozen=True)
@@ -76,16 +76,6 @@ class IterConfig:
             raise ValueError("need R > 0")
         if self.k < 0 or self.l < 0:
             raise ValueError("pole orders must be >= 0")
-
-
-def base_step(t, s, lam):
-    """One step of (t, s) -> (s, s - lam*(t - s)); needs t > s > lam*t."""
-    t, s, lam = num(t), num(s), num(lam)
-    if not t > s > 0:
-        raise ValueError("need t > s > 0")
-    if s <= lam * t:
-        raise LeavesDomainError("s <= lambda*t: iteration leaves the prisma")
-    return s, s - lam * (t - s)
 
 
 def t_infinity(t0, s0, lam):

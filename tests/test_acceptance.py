@@ -242,7 +242,7 @@ def test_criterion_10_norm_properties():
         s = t - gap
         if s <= 0 or norm_v == 0:
             continue
-        image = lie_exp(v, f, rng.choice([1, -1]))
+        image = lie_exp(rng.choice([-v, v]), f)  # e^{v} f or e^{-v} f
         lhs = majorant_norm(image, s).value
         rhs = geometric_borel_bound(x) * majorant_norm(f, t).value
         assert lhs <= rhs * (1 + 1e-9), (v, f, t, s)

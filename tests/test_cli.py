@@ -148,6 +148,13 @@ class TestQTable:
         doc = json.loads(out)
         assert doc[0]["n"] == 3
 
+    def test_csv_stamp_is_the_last_line(self, capsys):
+        code, out, err = run_capture(capsys, "qtable", "--n", "3", "--format", "csv",
+                                     "--stamp")
+        _, plain, _ = run_capture(capsys, "qtable", "--n", "3", "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out == plain + "# stamp: lienorm\n"
+
 
 class TestPrisma:
     def test_exact_fraction_trajectory(self, capsys):
@@ -355,6 +362,19 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error: %s must be >= " % argv[-2])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["defset", "contains", "--set", "diagonal", "--s", "1/2"],
+         "contains needs --t and --s"),
+        (["defset", "convolve", "--set", "diagonal"], "convolve needs --other"),
+        (["plot-grid", "--resolution", "1"], "resolution must be >= 2"),
+        (["normalize", "--n", "9", "--order", "8"],
+         "perturbation exponent 9 exceeds order 8"),
+    ], ids=["contains-without-t", "convolve-without-other", "plot-grid-resolution-1",
+            "exponent-above-order"])
+    def test_missing_or_inconsistent_argument_is_exit_two(self, capsys, argv, message):
+        code, out, err = run_capture(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
+
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "out.json"
         code = run(["threshold", "--out", str(target)])
@@ -391,13 +411,21 @@ MALFORMED_SETS = {
     "min-without-right": '{"op":"min","left":{"op":"linear","a":1,"c":0}}',
     "zero-denominator": '{"op":"linear","a":"1/0","c":0}',
 }
+# a field that is no number; through --set, evaluating the boundary may
+# trip over it, while through --other only the reader can stop it
+MALFORMED_FIELDS = {
+    "null-field": '{"op":"linear","a":1,"c":null}',
+    "true-field": '{"op":"linear","a":true,"c":0}',
+    "list-field": '{"op":"linear","a":1,"c":[1]}',
+    "nan-field": '{"op":"linear","a":NaN,"c":0}',
+}
 # convolve returns an --other set unchanged when --set is closed-diagonal,
 # so a node that slips past the reader reaches stdout there
 MALFORMED = {
     **{"set-" + k: ["defset", "contains", "--set", s, "--t", "1", "--s", "1/2"]
        for k, s in MALFORMED_SETS.items()},
     **{"other-" + k: ["defset", "convolve", "--set", "closed-diagonal", "--other", s]
-       for k, s in MALFORMED_SETS.items()},
+       for k, s in {**MALFORMED_SETS, **MALFORMED_FIELDS}.items()},
     "coeffs-zero-denominator": ["norms", "nagumo", "--coeffs", "1/0"],
 }
 

@@ -70,6 +70,10 @@ class TestConvolve:
         assert convolve(A, DefSet.closed_subdiagonal()).boundary == A.boundary
         assert convolve(DefSet.closed_subdiagonal(), A).boundary == A.boundary
 
+    def test_linear_after_power_stays_a_power(self):
+        got = convolve(DefSet(Power(1, F(1, 2))), DefSet(Linear(2, 0)))
+        assert got.boundary == Power(2, F(1, 2))
+
     def test_square_roots_compose(self):
         got = convolve(DefSet.square_map(), DefSet.square_map())
         assert got.boundary == Power(1, F(1, 4))
@@ -151,6 +155,24 @@ class TestExponentialSets:
         with pytest.raises(DegenerateSetError):
             defset_of_exponential((0, 1))
 
+    @pytest.mark.parametrize("norm, error, message", [
+        (-0.1, ValueError, "operator norm must be >= 0"),
+        ((F(-1, 4), 0), ValueError, "affine norm coefficients must be >= 0"),
+        ((0, -0.5), ValueError, "affine norm coefficients must be >= 0"),
+        ("1/2", UnsupportedShapeError, "cannot interpret norm description"),
+    ], ids=["negative-norm", "negative-c0", "negative-c1", "string"])
+    def test_rejected_norms(self, norm, error, message):
+        with pytest.raises(error, match="^" + message) as exc:
+            defset_of_exponential(norm)
+        assert exc.type is error
+
+
+class TestCone:
+    @pytest.mark.parametrize("alpha", [0, F(-1, 2), -1.0], ids=["0", "-1/2", "-1.0"])
+    def test_needs_positive_alpha(self, alpha):
+        with pytest.raises(ValueError, match="^cone needs alpha > 0$"):
+            DefSet.cone(alpha)
+
 
 class TestProductSets:
     def test_single_factor(self):
@@ -183,6 +205,9 @@ class TestDownsetHull:
 
 
 class TestTangentSlope:
+    def test_closed_subdiagonal(self):
+        assert tangent_slope_at_origin(DefSet.closed_subdiagonal()) == 1.0
+
     def test_linear_boundaries(self):
         got = convolve(DefSet(Linear(0.5, 0)), DefSet(Linear(0.75, 0)))
         assert tangent_slope_at_origin(got) == pytest.approx(0.375, abs=1e-9)
@@ -264,11 +289,43 @@ class TestMalformedGrammar:
         pytest.param({"op": "min", "left": LINEAR,
                       "right": {"op": "power", "gamma": 1, "k": "2/0"}},
                      ValueError, id="nested-zero-denominator"),
+        pytest.param({"op": "linear", "a": 1, "c": None}, UnsupportedShapeError,
+                     id="null-field"),
+        pytest.param({"op": "linear", "a": True, "c": 0}, UnsupportedShapeError,
+                     id="true-field"),
+        pytest.param({"op": "linear", "a": 1, "c": False}, UnsupportedShapeError,
+                     id="false-field"),
+        pytest.param({"op": "power", "gamma": [1], "k": 1}, UnsupportedShapeError,
+                     id="list-field"),
+        pytest.param({"op": "linear", "a": math.nan, "c": 0}, UnsupportedShapeError,
+                     id="nan-field"),
+        pytest.param({"op": "power", "gamma": 1, "k": math.inf}, UnsupportedShapeError,
+                     id="infinite-field"),
+        pytest.param({"op": "min", "left": LINEAR,
+                      "right": {"op": "linear", "a": 1, "c": None}},
+                     UnsupportedShapeError, id="nested-null-field"),
     ])
     def test_rejected(self, doc, error):
         with pytest.raises(error) as exc:
             boundary_from_dict(doc)
         assert exc.type is error
+
+    def test_field_error_names_the_op_and_the_field(self):
+        with pytest.raises(UnsupportedShapeError,
+                           match="^linear boundary field c is no number: None$"):
+            boundary_from_dict({"op": "linear", "a": 1, "c": None})
+
+    @pytest.mark.parametrize("doc", [
+        pytest.param({"set": "boundary"}, id="boundary-without-boundary"),
+        pytest.param({"set": "spiral", "boundary": LINEAR}, id="unknown-set"),
+        pytest.param({"boundary": LINEAR}, id="no-set"),
+        pytest.param({"set": ["boundary"], "boundary": LINEAR}, id="unhashable-set"),
+        pytest.param([{"set": "closed_subdiagonal"}], id="list"),
+        pytest.param("closed_subdiagonal", id="string"),
+    ])
+    def test_set_level_rejected(self, doc):
+        with pytest.raises(UnsupportedShapeError, match="^not a definition set: "):
+            DefSet.from_dict(doc)
 
     @pytest.mark.parametrize("cls", [Compose, Min])
     def test_operands_must_be_nodes(self, cls):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,7 @@ from lienorm.disc_norms import (
     WeightSequence,
     borel_bound,
     calibrate,
+    compose_exponentials_bound,
     compose_local_bounds,
     derivative_bound,
     division_bound,
@@ -285,6 +287,56 @@ class TestDivisionBound:
         q, _ = f.weierstrass_div_monomial(d)
         assert float(majorant_norm(q, t).exact) <= \
             division_bound(d, t) * majorant_norm(f, t).value * (1 + 1e-9)
+
+
+GEOMETRIC = WeightSequence("geometric")
+
+# every check that rejects input: the call, the exact class, the message
+REJECTED = {
+    "majorant-string-radius": (lambda: majorant_norm(series([1]), "1/2"),
+                               TypeError, "expected a real number, got '1/2'"),
+    "nagumo-negative-k": (lambda: nagumo_check(series([1, 1]), -1, 1, F(1, 2)),
+                          ValueError, "k must be >= 0"),
+    "filtration-negative-k": (lambda: order_filtration_norm(series([0, 1]), -1, 1),
+                              ValueError, "k must be >= 0"),
+    "filtration-zero-radius": (lambda: order_filtration_norm(series([0, 1]), 1, 0),
+                               ValueError, "radius must be positive"),
+    "local-bound-negative-C": (lambda: LocalOpBound(-1, 0, 1),
+                               ValueError, "C, k, l must all be >= 0"),
+    "local-bound-negative-k": (lambda: LocalOpBound(1, -1, 0),
+                               ValueError, "C, k, l must all be >= 0"),
+    "local-bound-negative-l": (lambda: LocalOpBound(1, 0, -0.5),
+                               ValueError, "C, k, l must all be >= 0"),
+    "exponentials-negative-norm": (lambda: compose_exponentials_bound([0.25, -0.1]),
+                                   ValueError, "normalized norms must be >= 0"),
+    "borel-negative-x": (lambda: borel_bound(series([1, 1]), -0.5),
+                         ValueError, "need x >= 0"),
+    "geometric-borel-negative-x": (lambda: geometric_borel_bound(F(-1, 2)),
+                                   ValueError, "need x >= 0"),
+    "lambda-p-below-one": (lambda: lambda_p_check(GEOMETRIC, GEOMETRIC, 0.5, 1.0, 1.0,
+                                                  [(0.25, 0.5)]),
+                           ValueError, "need p >= 1"),
+    "lambda-p-point-on-diagonal": (lambda: lambda_p_check(GEOMETRIC, GEOMETRIC, 1.0, 1.0,
+                                                          1.0, [(0.5, 0.5)]),
+                                   ValueError, "grid points need 0 < s < t, got (0.5, 0.5)"),
+    "hilbert-index-length": (lambda: hilbert_weight((1, 2), 0.5),
+                             ValueError, "multi-index length 2 != dimension 1"),
+    "hilbert-zero-radius": (lambda: hilbert_weight(1, 0),
+                            ValueError, "need s > 0"),
+    "hilbert-negative-entry": (lambda: hilbert_weight((1, -1), 0.5, n=2),
+                               ValueError, "multi-index entries must be >= 0"),
+    "division-negative-degree": (lambda: division_bound(-1, 1),
+                                 ValueError, "d must be >= 0"),
+    "division-zero-radius": (lambda: division_bound(2, 0),
+                             ValueError, "need t > 0"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REJECTED.values(), ids=REJECTED.keys())
+def test_rejected_input(call, error, message):
+    with pytest.raises(error, match="^%s$" % re.escape(message)) as exc:
+        call()
+    assert exc.type is error
 
 
 # -- cross-cutting properties -------------------------------------------

@@ -12,6 +12,7 @@ from lienorm.disc_norms import (
 from lienorm.normalform import (
     Certificate,
     CertificateBreachError,
+    LieTrace,
     certify,
     default_trunc_order,
     lie_iterate_certified,
@@ -93,6 +94,11 @@ class TestFormalIteration:
         with pytest.raises(ValueError):
             lie_iterate_formal(a, TruncSeries.monomial(2, 8), 1)
 
+    def test_rejects_negative_steps(self):
+        a = quadratic_normal_form(8)
+        with pytest.raises(ValueError, match="^steps must be >= 0$"):
+            lie_iterate_formal(a, TruncSeries.monomial(3, 8), -1)
+
     def test_general_exponent_and_weight(self):
         order = 12
         a = quadratic_normal_form(order)
@@ -111,6 +117,10 @@ class TestNormalizer:
         tr = morse_trace(3, order=8)
         psi = normalizer_series(tr)
         assert psi == series([0, 1, -1, F(5, 2), -8, F(231, 8)], 5)
+
+    def test_empty_trace_rejected(self):
+        with pytest.raises(ValueError, match="^empty trace$"):
+            normalizer_series(LieTrace(()))
 
     def test_empty_steps_give_z(self):
         tr = morse_trace(0, order=6)
@@ -163,6 +173,15 @@ class TestCertificate:
         with pytest.raises(ValueError):
             certify(0.004, 0.25, 0.5, 0.5, 1.0, 2)
 
+    @pytest.mark.parametrize("args, message", [
+        ((0.004, 0.0, 0.5, 0.5, 1.0, 3), r"need lambda, mu in \(0, 1\)"),
+        ((0.004, 0.25, 1.0, 0.5, 1.0, 3), r"need lambda, mu in \(0, 1\)"),
+        ((0.004, 0.25, 0.5, 0.5, -1.0, 3), "need beta >= 0"),
+    ], ids=["lambda-0", "mu-1", "negative-beta"])
+    def test_rejected_parameters(self, args, message):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            certify(*args)
+
     def test_serialization(self):
         doc = morse_certificate().to_dict()
         assert doc["passes"] is True
@@ -184,6 +203,17 @@ class TestThreshold:
         assert threshold_T0(0.25, 0.5, 0.5, 2.0, 3) == pytest.approx(
             threshold_T0(0.25, 0.5, 0.5, 1.0, 3) / 2
         )
+
+    @pytest.mark.parametrize("args, message", [
+        ((0.5, 0.25, 0.5, 1.0, 3), "need 0 < lambda < mu < 1"),
+        ((0.25, 0.25, 0.5, 1.0, 3), "need 0 < lambda < mu < 1"),
+        ((0.25, 0.5, 1.0, 1.0, 3), r"need r in \(0, 1\)"),
+        ((0.25, 0.5, 0.5, 0.0, 3), "need beta > 0"),
+        ((0.25, 0.5, 0.5, 1.0, 2), "need n >= 3"),
+    ], ids=["lambda-above-mu", "lambda-equals-mu", "r-1", "beta-0", "n-2"])
+    def test_rejected_parameters(self, args, message):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            threshold_T0(*args)
 
     def test_certificate_agrees_with_threshold(self):
         t0 = threshold_T0(0.25, 0.5, 0.5, 1.0, 3)
@@ -210,6 +240,24 @@ class TestCertifiedIteration:
         with pytest.raises(CertificateBreachError) as err:
             lie_iterate_certified(cert, 3)
         assert err.value.step == 0
+
+    def test_breach_of_the_tetrahedron(self):
+        # r = 1/1000: the first bound e*s0^2 is above r*(t0 - s0)
+        cert = certify(0.004, 0.25, 0.5, 0.001, 1.0, 3)
+        with pytest.raises(CertificateBreachError,
+                           match="^step 0: bound .* leaves the tetrahedron") as err:
+            lie_iterate_certified(cert, 3)
+        assert err.value.step == 0
+
+    def test_mu_not_above_lambda_breaches_at_step_zero(self):
+        cert = certify(0.001, 0.6, 0.5, 0.5, 1.0, 3)
+        with pytest.raises(CertificateBreachError, match="^mu <= lambda") as err:
+            lie_iterate_certified(cert, 3)
+        assert err.value.step == 0
+
+    def test_rejects_negative_steps(self):
+        with pytest.raises(ValueError, match="^steps must be >= 0$"):
+            lie_iterate_certified(morse_certificate(), -1)
 
     def test_base_pairs_follow_the_contraction(self):
         cert = morse_certificate()

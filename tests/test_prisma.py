@@ -14,7 +14,6 @@ from lienorm.prisma import (
     IterConfig,
     LeavesDomainError,
     PrismaState,
-    base_step,
     closed_form_xn,
     closed_form_xn_bound,
     in_invariant_set,
@@ -26,27 +25,34 @@ from lienorm.prisma import (
 )
 
 
+def base_map(t, s, lam):
+    """(t, s) -> (s, s - lam*(t - s)): the base half of ``step``, from x = 0."""
+    nxt = step(PrismaState(t, s, 0), IterConfig(R=1, k=0, l=0, lam=lam))
+    return nxt.t, nxt.s
+
+
 class TestBaseStep:
     def test_direct_formula(self):
-        assert base_step(F(1), F(3, 4), F(1, 2)) == (F(3, 4), F(5, 8))
+        assert base_map(F(1), F(3, 4), F(1, 2)) == (F(3, 4), F(5, 8))
 
     def test_near_diagonal(self):
         eps = F(1, 100)
         lam = F(1, 3)
-        assert base_step(1, 1 - eps, lam) == (1 - eps, 1 - eps - lam * eps)
+        assert base_map(1, 1 - eps, lam) == (1 - eps, 1 - eps - lam * eps)
 
     def test_iteration_limit(self):
         t, s = F(1), F(1, 2)
         lam = F(1, 4)
         for _ in range(40):
-            t, s = base_step(t, s, lam)
+            t, s = base_map(t, s, lam)
         tinf = t_infinity(F(1), F(1, 2), lam)
         assert tinf == F(1, 3)
         assert abs(t - tinf) < F(1, 10**20)
 
     def test_leaves_domain(self):
-        with pytest.raises(LeavesDomainError):
-            base_step(F(1), F(1, 4), F(1, 2))
+        # s = 1/4 <= lambda*t, and the next s is -1/8
+        with pytest.raises(LeavesDomainError, match=r"got t=1/4 s=-1/8$"):
+            base_map(F(1), F(1, 4), F(1, 2))
 
 
 class TestTInfinity:
@@ -60,14 +66,14 @@ class TestTInfinity:
         assert abs(t_infinity(1.0, 0.7, 1e-12) - 0.7) < 1e-9
 
     def test_nonpositive_limit(self):
-        # the start base_step already rejects: s0 <= lambda*t0
+        # s0 <= lambda*t0, a start that step leaves at once
         with pytest.raises(LeavesDomainError, match=r"^needs s0 > lambda\*t0$"):
             t_infinity(F(1), F(1, 8), F(1, 2))
         with pytest.raises(LeavesDomainError):
-            base_step(F(1), F(1, 8), F(1, 2))
+            base_map(F(1), F(1, 8), F(1, 2))
 
     @pytest.mark.parametrize("t0, s0, lam", [
-        (1, 2, F(1, 2)),       # s0 > t0: base_step rejects this start
+        (1, 2, F(1, 2)),       # s0 > t0: PrismaState rejects this start
         (1, F(1, 2), 1),       # lambda = 1: the limit divides by zero
         (1, F(1, 2), 0),
         (1, F(1, 2), -1),
@@ -86,7 +92,7 @@ class TestTInfinity:
         t, s = t0, s0
         for n in range(10):
             assert t == tinf + lam**n * (t0 - tinf)
-            t_next, s_next = base_step(t, s, lam)
+            t_next, s_next = base_map(t, s, lam)
             assert t_next == s
             t, s = t_next, s_next
 
@@ -199,8 +205,8 @@ class TestIntData:
             assert type(bound) is F and bound >= exact
         # x0 = 1 < R rho s lam^2 (t-s)^2 = 2 * 5/6 * 3 * 1/4
         assert in_invariant_set(state, cfg) is True
-        assert base_step(4, 3, F(1, 2)) == (F(3), F(5, 2))
-        assert all(type(v) is F for v in base_step(4, 3, F(1, 2)))
+        assert base_map(4, 3, F(1, 2)) == (F(3), F(5, 2))
+        assert all(type(v) is F for v in base_map(4, 3, F(1, 2)))
         tinf = t_infinity(4, 3, F(1, 2))
         assert type(tinf) is F and tinf == 2
 
@@ -594,6 +600,11 @@ class TestRapidConvergence:
         ok, _, _ = rapid_convergence_check([F(1, 2), F(3, 2) ** 2000])
         assert not ok
 
+    def test_value_that_rounds_to_one_fails(self):
+        # exactly below 1, but 1.0 as a float: no witness C < 1 can hold
+        ok, c, r = rapid_convergence_check([F(1) - F(1, 10**30)])
+        assert not ok and math.isnan(c) and math.isnan(r)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             rapid_convergence_check([])
@@ -635,6 +646,17 @@ class TestValidation:
     def test_cfg_lambda_range(self):
         with pytest.raises(ValueError):
             IterConfig(R=1, lam=F(3, 2))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PrismaState(F(1), F(1, 2), F(-1, 8)), "x must be >= 0"),
+        (lambda: IterConfig(R=0), "need R > 0"),
+        (lambda: IterConfig(R=F(-1, 2)), "need R > 0"),
+        (lambda: IterConfig(R=1, k=-1), "pole orders must be >= 0"),
+        (lambda: IterConfig(R=1, l=F(-1, 2)), "pole orders must be >= 0"),
+    ], ids=["negative-x", "zero-R", "negative-R", "negative-k", "negative-l"])
+    def test_rejected_state_or_config(self, build, message):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            build()
 
     def test_int_coordinates_are_held_as_fractions(self):
         state = PrismaState(4, 3, 1, alpha=0)
