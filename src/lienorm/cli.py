@@ -10,8 +10,8 @@ imports the library modules it uses when it runs, so a start loads no
 others.
 
 Exit codes: 0 success, 1 failed certificate or divergent bound (the
-document is still emitted with failure detail), 2 invalid input or an
---out path that cannot be written.
+document is still emitted with failure detail), 2 invalid input, such
+as a value past the float range, or an --out path that cannot be written.
 """
 
 from __future__ import annotations
@@ -228,7 +228,7 @@ def _cmd_norms(args):
         return {"nagumo_holds": ok}, 0
     if args.check == "borel":
         try:
-            val = disc_norms.geometric_borel_bound(float(args.x))
+            val = disc_norms.geometric_borel_bound(args.x)
         except disc_norms.DivergenceError as exc:
             return {"error": str(exc), "x": float(args.x)}, 1
         return {"bound": val, "x": float(args.x)}, 0
@@ -398,7 +398,7 @@ def run(argv=None) -> int:
         doc, code, *table = args.func(args)
         _write(_emit(doc, args, *table), args)
         return code
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, TypeError, OverflowError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -30,6 +30,7 @@ class BoundaryFn:
 
     op: str | None = None  # the JSON name; None: the node has no JSON form
     _fields: tuple[str, ...] = ()
+    _node_fields = False  # whether the fields hold nodes, not numbers
 
     def __call__(self, t: float) -> float:
         raise NotImplementedError
@@ -103,6 +104,7 @@ class Compose(BoundaryFn):
 
     op = "compose"
     _fields = ("outer", "inner")
+    _node_fields = True
 
     def __init__(self, outer: BoundaryFn, inner: BoundaryFn):
         _require_nodes(self.op, outer, inner)
@@ -116,6 +118,7 @@ class Compose(BoundaryFn):
 class Min(BoundaryFn):
     op = "min"
     _fields = ("left", "right")
+    _node_fields = True
 
     def __init__(self, left: BoundaryFn, right: BoundaryFn):
         _require_nodes(self.op, left, right)
@@ -146,24 +149,27 @@ _OPS = {cls.op: cls for cls in (Linear, Power, Compose, Min)}
 
 
 def boundary_from_dict(d: dict) -> BoundaryFn:
-    """The node that to_dict wrote: each field is an object (a nested
-    node), a string (a "p/q" Fraction) or a finite number that is no
-    bool."""
+    """The node that to_dict wrote: a field of compose or min is an
+    object (a nested node), any other field a string (a "p/q" Fraction)
+    or a finite number that is no bool."""
     op = d.get("op") if isinstance(d, dict) else None
     if not isinstance(op, str) or op not in _OPS:
         raise UnsupportedShapeError("not a boundary node: %r" % (d,))
     cls = _OPS[op]
     try:
-        return cls(*[_field(op, name, d[name]) for name in cls._fields])
+        return cls(*[_field(cls, name, d[name]) for name in cls._fields])
     except KeyError as exc:
         raise UnsupportedShapeError("%s boundary needs field %s" % (op, exc)) from None
     except ZeroDivisionError as exc:
         raise ValueError("%s boundary has a zero denominator: %s" % (op, exc)) from None
 
 
-def _field(op, name, v):
-    if isinstance(v, dict):
-        return boundary_from_dict(v)
+def _field(cls, name, v):
+    op = cls.op
+    if cls._node_fields:
+        if isinstance(v, dict):
+            return boundary_from_dict(v)
+        raise UnsupportedShapeError("%s boundary field %s is no node: %r" % (op, name, v))
     if isinstance(v, str):
         return Fraction(v)
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
@@ -251,8 +257,9 @@ class DefSet:
         kind = d.get("set") if isinstance(d, dict) else None
         if not (kind == "closed_subdiagonal" or kind == "boundary" and "boundary" in d):
             raise UnsupportedShapeError("not a definition set: %r" % (d,))
-        if d.get("S", cls.S) != cls.S:
-            raise ValueError("definition sets live in (0, 1]^2, got S=%r" % (d["S"],))
+        S = d.get("S", cls.S)
+        if isinstance(S, bool) or S != cls.S:
+            raise ValueError("definition sets live in (0, 1]^2, got S=%r" % (S,))
         if kind == "closed_subdiagonal":
             return cls(None)
         return cls(boundary_from_dict(d["boundary"]))
@@ -261,11 +268,6 @@ class DefSet:
         if self.boundary is None:
             return "DefSet(closed subdiagonal)"
         return "DefSet(s < %r)" % (self.boundary,)
-
-
-def contains(A: DefSet, t, s) -> bool:
-    _require_defset(A)
-    return A.contains(t, s)
 
 
 def _require_defset(A):
@@ -294,13 +296,6 @@ def convolve(A: DefSet, B: DefSet) -> DefSet:
 def is_idempotent_on_grid(A: DefSet, grid) -> bool:
     _require_defset(A)
     return A.is_idempotent_on_grid(grid)
-
-
-def downset_hull(A: DefSet) -> DefSet:
-    """Delta-bar * A * Delta-bar; the identity on representable sets."""
-    _require_defset(A)
-    closed = DefSet.closed_subdiagonal()
-    return convolve(closed, convolve(A, closed))
 
 
 def defset_of_exponential(norm_fn) -> DefSet:

@@ -4,9 +4,11 @@ The sup norm of a truncated series on the closed disc of radius t is
 bounded above by the majorant norm sum(|a_n| t^n); the bound is an
 equality when all coefficients are nonnegative.  All comparisons that
 certify inequalities (Cauchy-Nagumo, order filtration, weight sums) are
-carried out in exact rational arithmetic when the inputs allow it;
-reported float values carry a directed-rounding slack factor 1 + 2**-40
-so they stay certified upper bounds.
+carried out in exact rational arithmetic when the inputs allow it.  A
+float reported for an exact value is the least float at or above it;
+the float sum of an order-filtration norm of fractional index carries a
+directed-rounding slack factor 1 + 2**-40 instead.  Either way it stays
+a certified upper bound.
 
 Local-operator bounds compose (compose_local_bounds), and an infinite
 composition of exponentials is bounded by 1/(1 - sum of normalized
@@ -47,14 +49,11 @@ def _exact(x) -> Fraction:
 
 
 def _upper_float(x: Fraction) -> float:
-    """Float upper bound of an exact value; dyadic values pass through
-    unchanged, anything else gets the directed-rounding slack."""
+    """The least float >= x; OverflowError far above the float range."""
     f = float(x)
-    if Fraction(f) == x:
-        return f
     if Fraction(f) < x:
         f = math.nextafter(f, math.inf)
-    return f * _SLACK if f > 0 else f
+    return f
 
 
 @dataclass(frozen=True)
@@ -159,13 +158,13 @@ def compose_local_bounds(b1: LocalOpBound, b2: LocalOpBound) -> LocalOpBound:
 def compose_exponentials_bound(nus) -> float:
     """Operator-norm bound 1/(1 - sum(nu_i)) for an infinite composition
     of exponentials with normalized norms nu_i = ||u_i||/(t_i - t_{i+1})."""
-    nus = list(nus)
+    nus = [_exact(nu) for nu in nus]
     if any(nu < 0 for nu in nus):
         raise ValueError("normalized norms must be >= 0")
     sigma = sum(nus)
     if sigma >= 1:
         raise DivergenceError("sum of normalized norms is %g >= 1" % sigma)
-    return 1.0 / (1.0 - sigma)
+    return _upper_float(1 / (1 - sigma))
 
 
 def calibrate(b: LocalOpBound) -> float:
@@ -201,7 +200,7 @@ def borel_bound(fmaj: TruncSeries, x) -> float:
         raise ValueError("majorant series must have nonnegative coefficients")
     if x < 0:
         raise ValueError("need x >= 0")
-    return float(fmaj.eval_at(_exact(x))) * _SLACK
+    return _upper_float(fmaj.eval_at(_exact(x)))
 
 
 def geometric_borel_bound(x) -> float:
@@ -211,7 +210,7 @@ def geometric_borel_bound(x) -> float:
         raise ValueError("need x >= 0")
     if x >= 1:
         raise DivergenceError("geometric majorant diverges at x >= 1")
-    return 1.0 / (1.0 - float(x))
+    return _upper_float(1 / (1 - _exact(x)))
 
 
 class WeightSequence:
@@ -232,7 +231,7 @@ class WeightSequence:
         if self.kind == "geometric":
             return float(s) ** (float(self.a) * n)
         if self.kind == "hilbert":
-            return math.sqrt(math.pi / (n + 1)) * float(s) ** (n + 1)
+            return hilbert_weight(n, s)
         return 1.0
 
     def is_monotone_on_grid(self, n: int, grid: Sequence[float]) -> bool:

@@ -254,8 +254,3 @@ def lie_iterate_certified(cert: Certificate, steps: int):
         out.append((t, s, x))
         state = prisma.step(state, cfg)
     return out
-
-
-def morse_certificate(t0: float = 0.004) -> Certificate:
-    """The worked example: perturbation z^3, lam=1/4, mu=1/2, r=1/2."""
-    return certify(t0, 0.25, 0.5, 0.5, 1.0, 3)

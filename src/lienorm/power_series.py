@@ -8,7 +8,7 @@ denominator, ``coeffs[k] == Fraction(num[k], den)``, in canonical form:
 zero series).  Every operation works on the integers and ends with one
 content reduction, so no operation builds a ``Fraction`` per
 coefficient.  The public ``coeffs`` tuple of ``Fraction``s is built on
-first access and then kept.
+each read.
 
 Every operation returns the tightest truncation order it can certify
 from the truncation orders and leading orders of its inputs, so a claim
@@ -94,10 +94,10 @@ class TruncSeries:
 
     ``coeffs[k]`` is the coefficient of ``z**k``; the tuple always has
     exactly ``trunc_order + 1`` entries.  It is built from the integer
-    pair ``(_num, _den)`` on first access (see the module docstring).
+    pair ``(_num, _den)`` on each read (see the module docstring).
     """
 
-    __slots__ = ("_num", "_den", "_coeffs", "trunc_order")
+    __slots__ = ("_num", "_den", "trunc_order")
 
     def __init__(self, coeffs: Iterable[Scalar], trunc_order: int | None = None):
         cs = [_frac(c) for c in coeffs]
@@ -116,7 +116,7 @@ class TruncSeries:
         # pile up on its free lists.
         d = math.lcm(*[c.denominator for c in cs])
         _init(self, tuple([c.numerator * (d // c.denominator) for c in cs]), d,
-              trunc_order, tuple(cs))
+              trunc_order)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
@@ -128,12 +128,8 @@ class TruncSeries:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        cs = self._coeffs
-        if cs is None:
-            d = self._den
-            cs = tuple([Fraction(a, d) for a in self._num])
-            object.__setattr__(self, "_coeffs", cs)
-        return cs
+        d = self._den
+        return tuple([Fraction(a, d) for a in self._num])
 
     # -- constructors -------------------------------------------------
 
@@ -180,7 +176,7 @@ class TruncSeries:
     def __getitem__(self, k: int) -> Fraction:
         if not 0 <= k <= self.trunc_order:
             raise IndexError("coefficient %d outside stored range 0..%d" % (k, self.trunc_order))
-        return self.coeffs[k]
+        return Fraction(self._num[k], self._den)
 
     def constant_term(self) -> Fraction:
         return Fraction(self._num[0], self._den)
@@ -423,10 +419,9 @@ class TruncSeries:
         return "TruncSeries(%s + O(z^%d))" % (body, self.trunc_order + 1)
 
 
-def _init(s: TruncSeries, num: tuple, den: int, n: int, coeffs=None) -> None:
+def _init(s: TruncSeries, num: tuple, den: int, n: int) -> None:
     object.__setattr__(s, "_num", num)
     object.__setattr__(s, "_den", den)
-    object.__setattr__(s, "_coeffs", coeffs)
     object.__setattr__(s, "trunc_order", n)
 
 

@@ -136,15 +136,14 @@ def iterate(state: PrismaState, cfg: IterConfig, n: int) -> list[PrismaState]:
 _memo = None
 
 
-def _chain(n: int, state0: PrismaState, cfg: IterConfig, horner: bool = True):
+def _chain(n: int, state0: PrismaState, cfg: IterConfig):
     """(K, ps, qs): the n-independent chain of the closed forms, through n.
 
     ps = (p_0, p_1, ...), at least through p_n, with p_i the product of
     rho(t_j, s_j) over j < i, which is s_i/s_0: LeavesDomainError at the
-    first p_i <= 0.  When horner is true, also K = R s0^k lam^l (t0-s0)^l
-    and the Horner values qs = (q_0, q_1, ...), at least through q_n, with
-    q_0 = x0/K and q_{i+1} = q_i^2 / p_i^k; otherwise K and qs are whatever
-    the chain holds so far, perhaps None and ().
+    first p_i <= 0.  K = R s0^k lam^l (t0-s0)^l, and the Horner values
+    qs = (q_0, q_1, ...), at least through q_n, have q_0 = x0/K and
+    q_{i+1} = q_i^2 / p_i^k.
 
     The chain of the latest (state0, cfg), matched by identity, is kept and
     extended, so the calls for n = 0, 1, ..., N walk it once.  Every value
@@ -157,13 +156,10 @@ def _chain(n: int, state0: PrismaState, cfg: IterConfig, horner: bool = True):
     memo = _memo
     if memo is None or memo[0] is not state0 or memo[1] is not cfg:
         t, s = state0.t, state0.s
-        # the empty product, exact iff t, s and lam are
-        memo = (state0, cfg, t, s, (rho(t, s, cfg.lam) ** 0,), None, ())
+        K = cfg.R * s**cfg.k * cfg.lam**cfg.l * (t - s) ** cfg.l
+        # p_0 is the empty product, exact iff t, s and lam are
+        memo = (state0, cfg, t, s, (rho(t, s, cfg.lam) ** 0,), K, (state0.x / K,))
     _, _, t, s, ps, K, qs = memo
-    if horner and K is None:
-        K = (cfg.R * state0.s**cfg.k * cfg.lam**cfg.l
-             * (state0.t - state0.s) ** cfg.l)
-        qs = (state0.x / K,)
     if n < 0:
         raise ValueError("n must be >= 0")
     lam = cfg.lam
@@ -174,11 +170,10 @@ def _chain(n: int, state0: PrismaState, cfg: IterConfig, horner: bool = True):
             raise LeavesDomainError("s_%d <= 0: trajectory leaves the prisma" % i)
         t, s = s, s - lam * (t - s)
         ps += (p,)
-    if horner:
-        q = qs[-1]
-        for i in range(len(qs), n + 1):
-            q = q**2 / ps[i - 1] ** cfg.k
-            qs += (q,)
+    q = qs[-1]
+    for i in range(len(qs), n + 1):
+        q = q**2 / ps[i - 1] ** cfg.k
+        qs += (q,)
     _memo = (state0, cfg, t, s, ps, K, qs)
     return K, ps, qs
 
@@ -216,10 +211,10 @@ def closed_form_xn_bound(n: int, state0: PrismaState, cfg: IterConfig):
     Evaluated as K_n (x0/K_n)^(2^n) lam^(l n), for the reason given in
     closed_form_xn: the power needs no gcd and each product that follows
     has one small operand.  p_n comes from the chain that closed_form_xn
-    extends, without its Horner values.  Raises as closed_form_xn does.
+    extends.  Raises as closed_form_xn does.
     """
     lam = cfg.lam
-    p_n = _chain(n, state0, cfg, horner=False)[1][n]
+    p_n = _chain(n, state0, cfg)[1][n]
     K_n = (cfg.R * p_n**cfg.k * state0.s**cfg.k * lam**cfg.l
            * (state0.t - state0.s) ** cfg.l)
     return K_n * (state0.x / K_n) ** (2**n) * lam ** (cfg.l * n)

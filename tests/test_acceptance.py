@@ -31,10 +31,10 @@ from lienorm.disc_norms import (
     nagumo_check,
 )
 from lienorm.normalform import (
+    certify,
     default_trunc_order,
     lie_iterate_certified,
     lie_iterate_formal,
-    morse_certificate,
     normalizer_series,
     quadratic_normal_form,
     threshold_T0,
@@ -75,6 +75,11 @@ def _report(num, desc):
 
 def series(coeffs, n=None):
     return TruncSeries([F(c) for c in coeffs], n)
+
+
+def morse_certificate(t0=0.004):
+    """The worked example: perturbation z^3, lam=1/4, mu=1/2, r=1/2."""
+    return certify(t0, 0.25, 0.5, 0.5, 1.0, 3)
 
 
 @_report(1, "golden Lie-iteration series, exact, under 1 s")

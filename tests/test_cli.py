@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import shlex
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -369,8 +370,11 @@ class TestExitCodes:
         (["plot-grid", "--resolution", "1"], "resolution must be >= 2"),
         (["normalize", "--n", "9", "--order", "8"],
          "perturbation exponent 9 exceeds order 8"),
+        # x < 1, but 1/(1 - x) = 10^400
+        (["norms", "borel", "--x", "0." + "9" * 400],
+         "integer division result too large for a float"),
     ], ids=["contains-without-t", "convolve-without-other", "plot-grid-resolution-1",
-            "exponent-above-order"])
+            "exponent-above-order", "borel-bound-above-float-range"])
     def test_missing_or_inconsistent_argument_is_exit_two(self, capsys, argv, message):
         code, out, err = run_capture(capsys, *argv)
         assert (code, out, err) == (2, "", "error: %s\n" % message)
@@ -418,6 +422,7 @@ MALFORMED_FIELDS = {
     "true-field": '{"op":"linear","a":true,"c":0}',
     "list-field": '{"op":"linear","a":1,"c":[1]}',
     "nan-field": '{"op":"linear","a":NaN,"c":0}',
+    "node-field": '{"op":"linear","a":1,"c":{"op":"linear","a":1,"c":0}}',
 }
 # convolve returns an --other set unchanged when --set is closed-diagonal,
 # so a node that slips past the reader reaches stdout there
@@ -462,3 +467,29 @@ GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
 def test_golden_bytes(capsys, case):
     code, out, err = run_capture(capsys, *case["argv"])
     assert (code, out, err) == (case["exit_code"], case["stdout"], case["stderr"])
+
+
+def _readme_commands():
+    """Each lienorm line of README's command-line block, continuation
+    lines joined, as an argv without the program name."""
+    readme = Path(__file__).parents[1].joinpath("README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    argvs = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("lienorm ")]
+    assert argvs, "no lienorm line in README's command-line block"
+    return argvs
+
+
+README_COMMANDS = _readme_commands()
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=[
+    "-".join(a[:1] if a[1].startswith("-") else a[:2]) for a in README_COMMANDS])
+def test_readme_example(capsys, argv):
+    code, out, err = run_capture(capsys, *argv)
+    assert (code, err) == (0, "")
+    if "--format" in argv and argv[argv.index("--format") + 1] == "csv":
+        header, *rows = csv.reader(io.StringIO(out))
+        assert rows and all(len(row) == len(header) for row in rows)
+    else:
+        json.loads(out)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -15,11 +16,9 @@ from lienorm.defsets import (
     Power,
     UnsupportedShapeError,
     boundary_from_dict,
-    contains,
     convolve,
     defset_of_exponential,
     defset_of_product,
-    downset_hull,
     is_idempotent_on_grid,
     tangent_slope_at_origin,
 )
@@ -189,7 +188,16 @@ class TestProductSets:
             defset_of_product([F(1, 2), 1])
 
 
+def downset_hull(A):
+    """Delta-bar * A * Delta-bar."""
+    closed = DefSet.closed_subdiagonal()
+    return convolve(closed, convolve(A, closed))
+
+
 class TestDownsetHull:
+    """The closed subdiagonal is convolve's unit, so the hull of a
+    representable set is the set itself."""
+
     def test_cone_unchanged(self):
         A = DefSet.cone(F(7, 3))
         assert downset_hull(A).boundary == A.boundary
@@ -201,7 +209,7 @@ class TestDownsetHull:
         with pytest.raises(UnsupportedShapeError):
             downset_hull(("point", (0.5, 0.25)))
         with pytest.raises(UnsupportedShapeError):
-            contains({"pts": [(1, 1)]}, 0.5, 0.25)
+            DefSet({"pts": [(1, 1)]})
 
 
 class TestTangentSlope:
@@ -244,6 +252,11 @@ class TestSerialization:
             DefSet.from_dict(dict(doc, S=2))
         with pytest.raises(ValueError):
             DefSet.from_dict({"set": "closed_subdiagonal", "S": 2})
+
+    def test_from_dict_rejects_a_boolean_S(self):
+        # True == 1.0, but true is no side length
+        with pytest.raises(ValueError, match="S=True"):
+            DefSet.from_dict({"set": "closed_subdiagonal", "S": True})
 
     def test_callable_does_not_serialize(self):
         with pytest.raises(UnsupportedShapeError):
@@ -304,6 +317,15 @@ class TestMalformedGrammar:
         pytest.param({"op": "min", "left": LINEAR,
                       "right": {"op": "linear", "a": 1, "c": None}},
                      UnsupportedShapeError, id="nested-null-field"),
+        pytest.param({"op": "linear", "a": 1, "c": LINEAR}, UnsupportedShapeError,
+                     id="node-as-linear-c"),
+        pytest.param({"op": "linear", "a": LINEAR, "c": 0}, UnsupportedShapeError,
+                     id="node-as-linear-a"),
+        pytest.param({"op": "power", "gamma": 1, "k": LINEAR}, UnsupportedShapeError,
+                     id="node-as-power-k"),
+        pytest.param({"op": "min", "left": LINEAR,
+                      "right": {"op": "power", "gamma": LINEAR, "k": 1}},
+                     UnsupportedShapeError, id="nested-node-as-power-gamma"),
     ])
     def test_rejected(self, doc, error):
         with pytest.raises(error) as exc:
@@ -314,6 +336,18 @@ class TestMalformedGrammar:
         with pytest.raises(UnsupportedShapeError,
                            match="^linear boundary field c is no number: None$"):
             boundary_from_dict({"op": "linear", "a": 1, "c": None})
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"op": "linear", "a": 1, "c": LINEAR},
+         "linear boundary field c is no number: %r" % (LINEAR,)),
+        ({"op": "compose", "outer": LINEAR, "inner": "1/2"},
+         "compose boundary field inner is no node: '1/2'"),
+        ({"op": "min", "left": 1, "right": LINEAR},
+         "min boundary field left is no node: 1"),
+    ], ids=["node-for-a-number", "string-for-a-node", "number-for-a-node"])
+    def test_field_kind_error_names_the_op_and_the_field(self, doc, message):
+        with pytest.raises(UnsupportedShapeError, match="^%s$" % re.escape(message)):
+            boundary_from_dict(doc)
 
     @pytest.mark.parametrize("doc", [
         pytest.param({"set": "boundary"}, id="boundary-without-boundary"),

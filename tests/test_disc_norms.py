@@ -211,6 +211,48 @@ class TestBorel:
             borel_bound(series([0, -1]), F(1, 2))
 
 
+def _is_least_float_above(got, exact):
+    return F(got) >= exact and F(math.nextafter(got, -math.inf)) < exact
+
+
+class TestReportedFloats:
+    """Each float reported for an exact value is the least float >= it."""
+
+    def test_geometric_borel(self):
+        rng = random.Random(1)
+        for _ in range(300):
+            x = F(rng.randint(0, 998), rng.randint(999, 2000))
+            assert _is_least_float_above(geometric_borel_bound(x), 1 / (1 - x)), x
+            xf = rng.random() * 0.999
+            assert _is_least_float_above(geometric_borel_bound(xf), 1 / (1 - F(xf))), xf
+
+    def test_compose_exponentials(self):
+        rng = random.Random(2)
+        for _ in range(300):
+            nus = [rng.random() * 0.2 for _ in range(4)]
+            exact = 1 / (1 - sum(map(F, nus)))
+            assert _is_least_float_above(compose_exponentials_bound(nus), exact), nus
+
+    def test_divergence_is_decided_exactly(self):
+        # 0.1 + 0.2 + 0.7 is 1.0 in floats, but less than 1 exactly
+        nus = [0.1, 0.2, 0.7]
+        assert sum(nus) == 1.0 and sum(map(F, nus)) < 1
+        assert _is_least_float_above(compose_exponentials_bound(nus),
+                                     1 / (1 - sum(map(F, nus))))
+
+    def test_series_bounds(self):
+        rng = random.Random(3)
+        for _ in range(100):
+            coeffs = [F(rng.randint(0, 9), rng.randint(1, 7)) for _ in range(8)]
+            f = series(coeffs)
+            x = F(rng.randint(1, 9), rng.randint(10, 13))
+            exact = sum(c * x**i for i, c in enumerate(coeffs))
+            assert _is_least_float_above(borel_bound(f, x), exact)
+            assert _is_least_float_above(majorant_norm(f, x).value, exact)
+            d = rng.randint(0, 4)
+            assert _is_least_float_above(division_bound(d, x), 1 / x**d)
+
+
 class TestWeights:
     def test_geometric_pass(self):
         lam = WeightSequence("geometric")
@@ -313,6 +355,9 @@ REJECTED = {
                          ValueError, "need x >= 0"),
     "geometric-borel-negative-x": (lambda: geometric_borel_bound(F(-1, 2)),
                                    ValueError, "need x >= 0"),
+    "geometric-borel-above-float-range": (
+        lambda: geometric_borel_bound(1 - F(1, 10**400)),
+        OverflowError, "integer division result too large for a float"),
     "lambda-p-below-one": (lambda: lambda_p_check(GEOMETRIC, GEOMETRIC, 0.5, 1.0, 1.0,
                                                   [(0.25, 0.5)]),
                            ValueError, "need p >= 1"),
@@ -323,6 +368,8 @@ REJECTED = {
                              ValueError, "multi-index length 2 != dimension 1"),
     "hilbert-zero-radius": (lambda: hilbert_weight(1, 0),
                             ValueError, "need s > 0"),
+    "hilbert-sequence-zero-radius": (lambda: WeightSequence("hilbert").weight(1, 0),
+                                     ValueError, "need s > 0"),
     "hilbert-negative-entry": (lambda: hilbert_weight((1, -1), 0.5, n=2),
                                ValueError, "multi-index entries must be >= 0"),
     "division-negative-degree": (lambda: division_bound(-1, 1),

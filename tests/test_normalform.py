@@ -17,7 +17,6 @@ from lienorm.normalform import (
     default_trunc_order,
     lie_iterate_certified,
     lie_iterate_formal,
-    morse_certificate,
     normalizer_series,
     quadratic_normal_form,
     threshold_T0,
@@ -30,6 +29,11 @@ E = math.e
 
 def series(coeffs, n=None):
     return TruncSeries([F(c) for c in coeffs], n)
+
+
+def morse_certificate(t0=0.004):
+    """The worked example: perturbation z^3, lam=1/4, mu=1/2, r=1/2."""
+    return certify(t0, 0.25, 0.5, 0.5, 1.0, 3)
 
 
 def morse_trace(steps=4, order=None):
