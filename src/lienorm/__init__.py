@@ -21,9 +21,16 @@ or to a module, such as ``lienorm.prisma``, imports the module that
 defines it.  A public name is looked up in its module on every access
 and never stored here, so a patch of ``lienorm.power_series.lie_exp``
 shows through ``lienorm.lie_exp`` and goes away with its undo.
+
+The two number rules that every layer shares live here, in the one
+module each layer loads.  :func:`num` is the scalar rule: callers apply
+it once where a value enters, and from there an int or ``Fraction``
+stays exact until a float joins it.  :func:`fraction_str` writes the
+``"p/q"`` wire form.
 """
 
 import sys
+from fractions import Fraction
 
 __version__ = "0.1.0"
 
@@ -56,6 +63,22 @@ _SOURCE = {
 }
 
 __all__ = list(_SOURCE)
+
+
+def num(x):
+    """The scalar rule: int/Fraction as an exact Fraction, float otherwise."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    return float(x)
+
+
+def fraction_str(x):
+    """The "p/q" wire form of a Fraction; any other value passes through."""
+    if isinstance(x, Fraction):
+        return "%d/%d" % (x.numerator, x.denominator)
+    return x
 
 
 def __getattr__(name):

@@ -32,6 +32,16 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError("not an exact number: %r (%s)" % (text, exc))
 
 
+def _float_fraction(text: str) -> Fraction:
+    """An exact number the command also reads as a float."""
+    value = _fraction(text)
+    try:
+        float(value)
+    except OverflowError:
+        raise argparse.ArgumentTypeError("past the float range: %r" % text)
+    return value
+
+
 def _fraction_list(text: str) -> list[Fraction]:
     # no empty entry is skipped: a coefficient's position is its power
     return [_fraction(p) for p in text.split(",")]
@@ -201,7 +211,7 @@ def _cmd_defset(args):
     if args.action == "contains":
         if args.t is None or args.s is None:
             raise ValueError("contains needs --t and --s")
-        ok = A.contains(float(args.t), float(args.s))
+        ok = A.contains(args.t, args.s)
         return {"contains": ok, "t": float(args.t), "s": float(args.s)}, 0
     if args.action == "convolve":
         if args.other is None:
@@ -231,17 +241,17 @@ def _cmd_norms(args):
             val = disc_norms.geometric_borel_bound(args.x)
         except disc_norms.DivergenceError as exc:
             return {"error": str(exc), "x": float(args.x)}, 1
+        except OverflowError:
+            raise ValueError("the bound 1/(1-x) is past the float range")
         return {"bound": val, "x": float(args.x)}, 0
     # lambda-p on geometric weights over a uniform grid
-    lam = disc_norms.WeightSequence("geometric")
-    mu = disc_norms.WeightSequence("geometric", a=args.mu_power)
+    w = disc_norms.WeightSequence("geometric")
     n = args.grid
     if n < 1:
         raise ValueError("--grid must be >= 1")
     grid = [((i + 1) / (n + 1) * (j + 2) / (n + 2), (j + 2) / (n + 2))
             for i in range(n) for j in range(n)]
-    grid = [(s, t) for s, t in grid if 0 < s < t <= 1]
-    ok = disc_norms.lambda_p_check(lam, mu, args.p, args.alpha, args.C, grid)
+    ok = disc_norms.lambda_p_check(w, w, 1.0, 1.0, 1.0, grid)
     return {"lambda_p_holds": ok, "points": len(grid)}, 0
 
 
@@ -290,11 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_normalize)
 
     p = sub.add_parser("certify", help="evaluate the convergence certificate")
-    p.add_argument("--t0", type=_fraction, required=True)
-    p.add_argument("--lambda", dest="lam", type=_fraction, default=Fraction(1, 4))
-    p.add_argument("--mu", type=_fraction, default=Fraction(1, 2))
-    p.add_argument("--r", type=_fraction, default=Fraction(1, 2))
-    p.add_argument("--beta", type=_fraction, default=Fraction(1))
+    p.add_argument("--t0", type=_float_fraction, required=True)
+    p.add_argument("--lambda", dest="lam", type=_float_fraction, default=Fraction(1, 4))
+    p.add_argument("--mu", type=_float_fraction, default=Fraction(1, 2))
+    p.add_argument("--r", type=_float_fraction, default=Fraction(1, 2))
+    p.add_argument("--beta", type=_float_fraction, default=Fraction(1))
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--steps", type=int, default=0,
                    help="also emit the certified bound trajectory")
@@ -302,10 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("threshold", help="largest admissible t0")
-    p.add_argument("--lambda", dest="lam", type=_fraction, default=Fraction(1, 4))
-    p.add_argument("--mu", type=_fraction, default=Fraction(1, 2))
-    p.add_argument("--r", type=_fraction, default=Fraction(1, 2))
-    p.add_argument("--beta", type=_fraction, default=Fraction(1))
+    p.add_argument("--lambda", dest="lam", type=_float_fraction, default=Fraction(1, 4))
+    p.add_argument("--mu", type=_float_fraction, default=Fraction(1, 2))
+    p.add_argument("--r", type=_float_fraction, default=Fraction(1, 2))
+    p.add_argument("--beta", type=_float_fraction, default=Fraction(1))
     p.add_argument("--n", type=int, default=3)
     _add_common(p, csv_ok=False)
     p.set_defaults(func=_cmd_threshold)
@@ -338,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True,
                    help='boundary JSON, or "diagonal"/"closed-diagonal"')
     p.add_argument("--other", default=None, help="second set for convolve")
-    p.add_argument("--t", type=_fraction, default=None)
-    p.add_argument("--s", type=_fraction, default=None)
+    p.add_argument("--t", type=_float_fraction, default=None)
+    p.add_argument("--s", type=_float_fraction, default=None)
     p.add_argument("--grid", type=int, default=32)
     _add_common(p, csv_ok=False)
     p.set_defaults(func=_cmd_defset)
@@ -351,11 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--t", type=_fraction, default=Fraction(1))
     p.add_argument("--s", type=_fraction, default=Fraction(1, 2))
-    p.add_argument("--x", type=_fraction, default=Fraction(1, 2))
-    p.add_argument("--p", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--mu-power", type=int, default=1)
+    p.add_argument("--x", type=_float_fraction, default=Fraction(1, 2))
     p.add_argument("--grid", type=int, default=10)
     _add_common(p, csv_ok=False)
     p.set_defaults(func=_cmd_norms)

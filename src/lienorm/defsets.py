@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Callable
 
-from .power_series import fraction_str, num
+from . import fraction_str, num
 
 
 class DegenerateSetError(ValueError):
@@ -225,11 +225,6 @@ class DefSet:
         if alpha <= 0:
             raise ValueError("cone needs alpha > 0")
         return cls(Linear(1 / num(alpha), 0))
-
-    @classmethod
-    def translation(cls, lam) -> "DefSet":
-        """{s < t - |lambda|} for composition with z -> z + lambda."""
-        return cls(Linear(1, -abs(lam)))
 
     @classmethod
     def square_map(cls) -> "DefSet":

@@ -453,26 +453,24 @@ def _log_abs_inverse_coeff(m: int, n: int, beta: float):
     return -math.log(m) + lb + j * math.log(2 * beta)
 
 
-def radius_oracle_series(n: int, beta, terms: int = 200) -> float:
+def radius_oracle_series(n: int, beta) -> float:
     """Numeric estimate of the inversion radius by the root test.
 
-    Computes |psi_m|^(-1/m) for the stored coefficients and removes the
-    leading 1/m bias by Richardson extrapolation over the tail, taking a
-    median for robustness.  Independent of the closed form true_radius.
+    Computes |psi_m|^(-1/m) for m = 2..200 and removes the leading 1/m
+    bias by Richardson extrapolation over the tail, taking a median for
+    robustness.  Independent of the closed form true_radius.
     """
-    if terms < 50:
-        raise ValueError("need at least 50 terms for a stable estimate")
     if n < 3 or beta <= 0:
         raise ValueError("need n >= 3 and beta > 0")
     ms, roots = [], []
-    for m in range(2, terms + 1):
+    for m in range(2, 201):
         la = _log_abs_inverse_coeff(m, n, float(beta))
         if la is None:
             continue
         ms.append(m)
         roots.append(math.exp(-la / m))
     if len(ms) < 8:
-        raise ValueError("too few nonzero coefficients below %d terms" % terms)
+        raise ValueError("too few nonzero coefficients below 200 terms")
     tail = max(4, len(ms) // 3)
     extrapolated = []
     for i in range(len(ms) - tail, len(ms) - 1):

@@ -28,14 +28,9 @@ exponential e^{-v} of a derivation of order >= 2, and provides the
 division map sending a series ``b`` with ``b(0)=0`` to the derivation
 ``(b/z) d/dz``.
 
-Two number rules live here.  Series coefficients must be exact:
-``_frac`` turns ints and ``"p/q"`` strings into ``Fraction`` and
-rejects floats where coefficients enter a series.  Scalar data outside
-the series layer follow :func:`num`: an int or ``Fraction`` becomes an
-exact ``Fraction`` and anything else a float.  Callers apply ``num``
-once where a value enters; after that Python's own arithmetic keeps
-rationals exact and lets any float make the result a float
-(``Fraction ** int`` stays exact, a fractional exponent gives a float).
+Series coefficients must be exact: ``_frac`` turns ints and ``"p/q"``
+strings into ``Fraction`` and rejects floats where coefficients enter a
+series.  Other scalars follow the package's rule, :func:`lienorm.num`.
 """
 
 from __future__ import annotations
@@ -43,6 +38,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
+
+from . import fraction_str
 
 Scalar = Union[int, Fraction]
 
@@ -71,22 +68,6 @@ def _frac(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("coefficients must be exact rationals, got float %r" % x)
     return Fraction(x)
-
-
-def num(x):
-    """The scalar rule: int/Fraction as an exact Fraction, float otherwise."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return float(x)
-
-
-def fraction_str(x):
-    """The "p/q" wire form of a Fraction; any other value passes through."""
-    if isinstance(x, Fraction):
-        return "%d/%d" % (x.numerator, x.denominator)
-    return x
 
 
 class TruncSeries:
@@ -156,11 +137,6 @@ class TruncSeries:
         coeffs[k] = _frac(c)
         return cls(coeffs, trunc_order)
 
-    @classmethod
-    def geometric(cls, trunc_order: int) -> "TruncSeries":
-        """1 + z + z^2 + ... (Hadamard unit)."""
-        return cls([1] * (trunc_order + 1), trunc_order)
-
     # -- basic queries ------------------------------------------------
 
     @property
@@ -177,9 +153,6 @@ class TruncSeries:
         if not 0 <= k <= self.trunc_order:
             raise IndexError("coefficient %d outside stored range 0..%d" % (k, self.trunc_order))
         return Fraction(self._num[k], self._den)
-
-    def constant_term(self) -> Fraction:
-        return Fraction(self._num[0], self._den)
 
     def is_zero(self) -> bool:
         return not any(self._num)
@@ -209,7 +182,13 @@ class TruncSeries:
             other = TruncSeries([other], self.trunc_order)
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        return _add(self, other, 1)
+        # on the common truncation, over lcm(da, db)
+        n = min(self.trunc_order, other.trunc_order)
+        da, db = self._den, other._den
+        g = math.gcd(da, db)
+        sa, sb = db // g, da // g
+        return _reduced([x * sa + y * sb for x, y in zip(self._num[: n + 1], other._num)],
+                        da * sa, n)
 
     __radd__ = __add__
 
@@ -217,11 +196,9 @@ class TruncSeries:
         return _new(tuple([-a for a in self._num]), self._den, self.trunc_order)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncSeries([other], self.trunc_order)
-        if not isinstance(other, TruncSeries):
+        if not isinstance(other, (int, Fraction, TruncSeries)):
             return NotImplemented
-        return _add(self, other, -1)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -297,7 +274,7 @@ class TruncSeries:
         """
         if inner._num[0]:
             raise CompositionDomainError(
-                "inner series has nonzero constant term %s" % inner.constant_term()
+                "inner series has nonzero constant term %s" % inner[0]
             )
         og = inner._eff_order()
         od = self.derivative()._eff_order()
@@ -356,7 +333,7 @@ class TruncSeries:
         """(1 + u)^e for self = 1 + u via the binomial series."""
         if self._num[0] != self._den:
             raise ValueError("binomial power needs constant term 1, got %s"
-                             % self.constant_term())
+                             % self[0])
         e = _frac(e)
         n = self.trunc_order
         u = self - TruncSeries.one(n)
@@ -382,8 +359,7 @@ class TruncSeries:
         if d == 0:
             return self, TruncSeries.zero(0)
         q = _reduced(self._num[d:], self._den, self.trunc_order - d)
-        p = _reduced(self._num[:d], self._den, d - 1)
-        return q, p
+        return q, self.truncate(d - 1)
 
     # -- evaluation and serialization ---------------------------------
 
@@ -444,16 +420,6 @@ def _reduced(num: Sequence[int], den: int, n: int) -> TruncSeries:
     """The series num/den, len(num) = n + 1, in canonical form."""
     num, den = _canon(num, den)
     return _new(tuple(num), den, n)
-
-
-def _add(a: TruncSeries, b: TruncSeries, sign: int) -> TruncSeries:
-    """a + sign*b on the common truncation, over lcm(da, db)."""
-    n = min(a.trunc_order, b.trunc_order)
-    da, db = a._den, b._den
-    g = math.gcd(da, db)
-    sa, sb = db // g, sign * (da // g)
-    return _reduced([x * sa + y * sb for x, y in zip(a._num[: n + 1], b._num)],
-                    da * sa, n)
 
 
 def _raw_mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:

@@ -4,14 +4,14 @@ The state space is the prisma {t > s > 0} x R+.  The base map contracts
 the pair (t, s) toward the diagonal; the full map is quadratic, squaring
 the third coordinate against a pole factor.  A state may carry a fourth
 coordinate alpha, which each step increases by the current x; a state
-without one stays without.  Values enter through
-:func:`lienorm.power_series.num`: ``PrismaState`` coerces its
-coordinates and ``t_infinity`` its arguments, so an
-int or ``Fraction`` is held as a ``Fraction`` and anything else as a
-float.  From there plain arithmetic keeps everything exact whenever the
-data are rational and the pole orders are integers, so the closed forms
-can be asserted as exact equalities; one float operand, or a fractional
-pole order, makes the result a float.
+without one stays without.  Values enter through :func:`lienorm.num`:
+``PrismaState`` coerces its coordinates and ``t_infinity`` its
+arguments, so an int or ``Fraction`` is held as a ``Fraction`` and
+anything else as a float.  From there plain arithmetic keeps everything
+exact whenever the data are rational and the pole orders are integers,
+so the closed forms can be asserted as exact equalities; one float
+operand, or a fractional pole order, makes the result a float.  The
+module works on scalars only and loads no series code.
 
 The closed forms share one chain per start, for every pole order.  Its
 partial products p_i = s_i/s_0 and Horner values q_i do not depend on
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .power_series import fraction_str, num
+from . import fraction_str, num
 
 
 class LeavesDomainError(ValueError):

@@ -176,7 +176,7 @@ def test_criterion_7_q_table():
 def test_criterion_8_true_radius_oracle():
     ref = true_radius(3, 1)
     assert abs(ref - math.sqrt(3) / 9) < 1e-12
-    est = radius_oracle_series(3, 1, 200)
+    est = radius_oracle_series(3, 1)
     assert abs(est - ref) / ref < 0.02
 
 

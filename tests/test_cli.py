@@ -266,6 +266,16 @@ class TestDefset:
                                    "--set", "{broken", "--t", "1", "--s", "1/2")
         assert code == 2
 
+    @pytest.mark.parametrize("s, inside", [("1/25", False), ("49/1250", True)])
+    def test_contains_decides_on_the_exact_point(self, capsys, s, inside):
+        # (1/5, 1/25) lies on the boundary of {s < t/5}; in floats the
+        # boundary value 0.2 * 0.2 rounds above 0.04
+        cone = json.dumps({"op": "linear", "a": "1/5", "c": 0})
+        code, out, _ = run_capture(capsys, "defset", "contains", "--set", cone,
+                                   "--t", "1/5", "--s", s)
+        assert code == 0
+        assert json.loads(out) == {"contains": inside, "t": 0.2, "s": float(F(s))}
+
 
 class TestNorms:
     def test_nagumo(self, capsys):
@@ -327,6 +337,22 @@ class TestExitCodes:
     def test_unknown_flag(self, capsys):
         assert run(["morse-trace", "--bogus"]) == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["certify", "--t0", "1e400"], "--t0"),
+        (["certify", "--t0", "1/250", "--lambda", "-1e400"], "--lambda"),
+        (["threshold", "--beta", "1e400"], "--beta"),
+        (["norms", "borel", "--x", "1e400"], "--x"),
+        (["defset", "contains", "--set", "diagonal", "--t", "1e400", "--s", "1/2"], "--t"),
+    ], ids=["certify-t0", "certify-negative-lambda", "threshold-beta", "borel-x",
+            "defset-t"])
+    def test_value_past_the_float_range_names_the_option(self, capsys, argv, flag):
+        value = argv[argv.index(flag) + 1]
+        code, out, err = run_capture(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage:")
+        assert err.endswith("error: argument %s: past the float range: %r\n"
+                            % (flag, value))
+
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 2
 
@@ -372,7 +398,7 @@ class TestExitCodes:
          "perturbation exponent 9 exceeds order 8"),
         # x < 1, but 1/(1 - x) = 10^400
         (["norms", "borel", "--x", "0." + "9" * 400],
-         "integer division result too large for a float"),
+         "the bound 1/(1-x) is past the float range"),
     ], ids=["contains-without-t", "convolve-without-other", "plot-grid-resolution-1",
             "exponent-above-order", "borel-bound-above-float-range"])
     def test_missing_or_inconsistent_argument_is_exit_two(self, capsys, argv, message):
@@ -459,7 +485,8 @@ def test_coeffs_are_read_by_argparse(capsys, coeffs):
 # exponent of rapid_convergence_check fitted, and those two prisma cases
 # have since moved from rho 2.034... and 2.022... to the structural rho 2;
 # the constant-trajectory prisma case was recorded when it passed with
-# C 1.0, and has since moved to exit 1
+# C 1.0, and has since moved to exit 1; the defset-contains-outside case
+# was re-recorded when contains began to decide on the exact --t and --s
 GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
 
 

@@ -40,7 +40,7 @@ class TestContains:
         assert not A.contains(0.25, 0.55)
 
     def test_translation_set(self):
-        A = DefSet.translation(0.3)
+        A = defset_of_exponential(0.3)  # composition with z -> z + 0.3
         assert not A.contains(1, 0.8)
         assert A.contains(1, 0.65)
 

@@ -31,11 +31,16 @@ SUBCOMMANDS = [
     (["qtable", "--n", "3"], ["paramopt"]),
     (["optimize", "--mode", "basic"], ["paramopt"]),
     (["plot-grid", "--resolution", "3"], ["paramopt"]),
-    (["prisma", "--t", "1/2", "--s", "1/4", "--x", "1/8", "--steps", "3"],
-     ["power_series", "prisma"]),
-    (["defset", "idempotent", "--set", "diagonal", "--grid", "2"],
-     ["power_series", "defsets"]),
+    # prisma and defsets work on scalars and load no series code
+    (["prisma", "--t", "1/2", "--s", "1/4", "--x", "1/8", "--steps", "3"], ["prisma"]),
+    (["defset", "idempotent", "--set", "diagonal", "--grid", "2"], ["defsets"]),
+    (["defset", "contains", "--set", "diagonal", "--t", "1", "--s", "1/2"], ["defsets"]),
+    (["defset", "convolve", "--set", "diagonal", "--other", "closed-diagonal"],
+     ["defsets"]),
     (["norms", "lambda-p", "--grid", "2"], ["power_series", "disc_norms"]),
+    (["norms", "nagumo"], ["power_series", "disc_norms"]),
+    (["norms", "borel", "--x", "1/2"], ["power_series", "disc_norms"]),
+    (["morse-trace", "--steps", "1"], ["power_series", "prisma", "normalform"]),
     (["normalize", "--steps", "1"], ["power_series", "prisma", "normalform"]),
     (["certify", "--t0", "1/250"], ["power_series", "prisma", "normalform"]),
     (["threshold"], ["power_series", "prisma", "normalform"]),

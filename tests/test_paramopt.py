@@ -480,28 +480,24 @@ class TestConsistencyWithCertificates:
 
 class TestRadiusOracle:
     def test_cubic_reference(self):
-        est = radius_oracle_series(3, 1, 200)
+        est = radius_oracle_series(3, 1)
         assert abs(est - true_radius(3, 1)) / true_radius(3, 1) < 0.01
 
     def test_quartic_reference(self):
-        est = radius_oracle_series(4, 1, 200)
+        est = radius_oracle_series(4, 1)
         assert abs(est - 1 / (2 * math.sqrt(2))) / (1 / (2 * math.sqrt(2))) < 0.01
 
     def test_beta_scaling_law(self):
-        est1 = radius_oracle_series(3, 1, 200)
-        est2 = radius_oracle_series(3, 2, 200)
+        est1 = radius_oracle_series(3, 1)
+        est2 = radius_oracle_series(3, 2)
         assert est2 == pytest.approx(est1 / 2, rel=5e-3)
 
     def test_agreement_grid(self):
         for n in (3, 4, 5):
             for beta in (0.5, 1.0, 2.0):
-                est = radius_oracle_series(n, beta, 200)
+                est = radius_oracle_series(n, beta)
                 ref = true_radius(n, beta)
                 assert abs(est - ref) / ref < 0.02, (n, beta)
-
-    def test_needs_enough_terms(self):
-        with pytest.raises(ValueError):
-            radius_oracle_series(3, 1, 30)
 
     def test_matches_exact_inversion_coefficients(self):
         # the closed form behind the oracle agrees with the compositional
