@@ -7,7 +7,9 @@ command line as "p/q" strings and emitted as the same strings in JSON;
 output is deterministic (identical invocations give identical bytes)
 unless --stamp adds run metadata outside the data body.  Each subcommand
 imports the library modules it uses when it runs, so a start loads no
-others.
+others.  Each definition-set action and each norm check is a command of
+its own ("norms borel"), and every command takes only the options it
+reads: any other option exits 2 with usage.
 
 Exit codes: 0 success, 1 failed certificate or divergent bound (the
 document is still emitted with failure detail), 2 invalid input, such
@@ -17,6 +19,7 @@ as a value past the float range, or an --out path that cannot be written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -36,9 +39,11 @@ def _float_fraction(text: str) -> Fraction:
     """An exact number the command also reads as a float."""
     value = _fraction(text)
     try:
-        float(value)
+        as_float = float(value)
     except OverflowError:
         raise argparse.ArgumentTypeError("past the float range: %r" % text)
+    if value and not as_float:
+        raise argparse.ArgumentTypeError("below the float range: %r" % text)
     return value
 
 
@@ -79,17 +84,24 @@ def _write(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _add_common(p, csv_ok=True):
-    formats = ["json", "csv"] if csv_ok else ["json"]
-    p.add_argument("--format", choices=formats, default="json")
+@contextlib.contextmanager
+def _command(sub, name, func, csv_ok=False, **kw):
+    """Add command name running func; the with block's options precede the output ones."""
+    p = sub.add_parser(name, **kw)
+    yield p
+    p.add_argument("--format", choices=["json", "csv"] if csv_ok else ["json"],
+                   default="json")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--stamp", action="store_true",
                    help="attach run metadata outside the data body")
+    p.set_defaults(func=func)
 
 
 # Size budget of the formal trace: each step doubles the truncation order
 # 2^(steps+1) + 4, and the exact work grows faster than the order.
 MAX_STEPS = 7
+# Size budget of the side n of a grid: all n^2 points are built at once.
+MAX_GRID = 500
 
 
 def _cmd_normalize(args):
@@ -204,51 +216,60 @@ def _parse_boundary(text: str) -> defsets.DefSet:
     return defsets.DefSet(defsets.boundary_from_dict(json.loads(text)))
 
 
-def _cmd_defset(args):
+def _cmd_contains(args):
+    ok = _parse_boundary(args.set).contains(args.t, args.s)
+    return {"contains": ok, "t": float(args.t), "s": float(args.s)}, 0
+
+
+def _cmd_convolve(args):
     from . import defsets
 
+    A, B = _parse_boundary(args.set), _parse_boundary(args.other)
+    return defsets.convolve(A, B).to_dict(), 0
+
+
+def _cmd_idempotent(args):
     A = _parse_boundary(args.set)
-    if args.action == "contains":
-        if args.t is None or args.s is None:
-            raise ValueError("contains needs --t and --s")
-        ok = A.contains(args.t, args.s)
-        return {"contains": ok, "t": float(args.t), "s": float(args.s)}, 0
-    if args.action == "convolve":
-        if args.other is None:
-            raise ValueError("convolve needs --other")
-        B = _parse_boundary(args.other)
-        return defsets.convolve(A, B).to_dict(), 0
-    # idempotent check on a uniform grid
     n = args.grid
     if n < 1:
         raise ValueError("--grid must be >= 1")
+    if n > MAX_GRID:
+        raise ValueError("--grid %d is over the budget of %d" % (n, MAX_GRID))
     pts = [((i + 1) / n, (j + 1) / n)
            for i in range(n) for j in range(n)]
-    ok = A.is_idempotent_on_grid(pts)
-    return {"idempotent_on_grid": ok, "grid": n}, 0
+    return {"idempotent_on_grid": A.is_idempotent_on_grid(pts), "grid": n}, 0
 
 
-def _cmd_norms(args):
+def _cmd_nagumo(args):
     from . import disc_norms
     from .power_series import TruncSeries
 
-    if args.check == "nagumo":
-        f = TruncSeries(args.coeffs)
-        ok = disc_norms.nagumo_check(f, args.k, args.t, args.s)
-        return {"nagumo_holds": ok}, 0
-    if args.check == "borel":
-        try:
-            val = disc_norms.geometric_borel_bound(args.x)
-        except disc_norms.DivergenceError as exc:
-            return {"error": str(exc), "x": float(args.x)}, 1
-        except OverflowError:
-            raise ValueError("the bound 1/(1-x) is past the float range")
-        return {"bound": val, "x": float(args.x)}, 0
-    # lambda-p on geometric weights over a uniform grid
-    w = disc_norms.WeightSequence("geometric")
+    ok = disc_norms.nagumo_check(TruncSeries(args.coeffs), args.k, args.t, args.s)
+    return {"nagumo_holds": ok}, 0
+
+
+def _cmd_borel(args):
+    from . import disc_norms
+
+    try:
+        val = disc_norms.geometric_borel_bound(args.x)
+    except disc_norms.DivergenceError as exc:
+        return {"error": str(exc), "x": float(args.x)}, 1
+    except OverflowError:
+        raise ValueError("the bound 1/(1-x) is past the float range")
+    return {"bound": val, "x": float(args.x)}, 0
+
+
+def _cmd_lambda_p(args):
+    from . import disc_norms
+
+    # geometric weights over a uniform grid
     n = args.grid
     if n < 1:
         raise ValueError("--grid must be >= 1")
+    if n > MAX_GRID:
+        raise ValueError("--grid %d is over the budget of %d" % (n, MAX_GRID))
+    w = disc_norms.WeightSequence("geometric")
     grid = [((i + 1) / (n + 1) * (j + 2) / (n + 2), (j + 2) / (n + 2))
             for i in range(n) for j in range(n)]
     ok = disc_norms.lambda_p_check(w, w, 1.0, 1.0, 1.0, grid)
@@ -260,6 +281,9 @@ def _cmd_plot_grid(args):
 
     if args.resolution < 2:
         raise ValueError("resolution must be >= 2")
+    if args.resolution > MAX_GRID:
+        raise ValueError("--resolution %d is over the budget of %d"
+                         % (args.resolution, MAX_GRID))
     f = paramopt.F_basic if args.objective == "basic" else paramopt.equalized_objective
     table = [["lambda", "mu", "value"]]
     values = []
@@ -283,94 +307,81 @@ def build_parser() -> argparse.ArgumentParser:
         description="Lie-iteration normal forms with certified convergence",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    with _command(sub, "morse-trace", _cmd_normalize,
+                  help="exact trace for z^2/2 + z^3") as p:
+        p.add_argument("--steps", type=int, default=4)
+        p.add_argument("--order", type=int, default=None,
+                       help="truncation order (default 2^(steps+1)+4)")
+        p.set_defaults(n=3, beta=Fraction(1))
+    with _command(sub, "normalize", _cmd_normalize,
+                  help="exact trace for z^2/2 + beta z^n") as p:
+        p.add_argument("--n", type=int, default=3)
+        p.add_argument("--beta", type=_fraction, default=Fraction(1))
+        p.add_argument("--steps", type=int, default=3)
+        p.add_argument("--order", type=int, default=None)
+    with _command(sub, "certify", _cmd_certify,
+                  help="evaluate the convergence certificate") as p:
+        p.add_argument("--t0", type=_float_fraction, required=True)
+        p.add_argument("--lambda", dest="lam", type=_float_fraction, default=Fraction(1, 4))
+        p.add_argument("--mu", type=_float_fraction, default=Fraction(1, 2))
+        p.add_argument("--r", type=_float_fraction, default=Fraction(1, 2))
+        p.add_argument("--beta", type=_float_fraction, default=Fraction(1))
+        p.add_argument("--n", type=int, default=3)
+        p.add_argument("--steps", type=int, default=0,
+                       help="also emit the certified bound trajectory")
+    with _command(sub, "threshold", _cmd_threshold, help="largest admissible t0") as p:
+        p.add_argument("--lambda", dest="lam", type=_float_fraction, default=Fraction(1, 4))
+        p.add_argument("--mu", type=_float_fraction, default=Fraction(1, 2))
+        p.add_argument("--r", type=_float_fraction, default=Fraction(1, 2))
+        p.add_argument("--beta", type=_float_fraction, default=Fraction(1))
+        p.add_argument("--n", type=int, default=3)
+    with _command(sub, "optimize", _cmd_optimize,
+                  help="maximize the certified radius") as p:
+        p.add_argument("--mode", choices=["basic", "equalized"], default="equalized")
+    with _command(sub, "qtable", _cmd_qtable, csv_ok=True,
+                  help="certified-vs-true radius ratios") as p:
+        p.add_argument("--n", type=_int_list, default=[3, 4, 5, 6, 7, 8, 9, 10, 20, 50])
+    with _command(sub, "prisma", _cmd_prisma, help="iterate the norm dynamics") as p:
+        p.add_argument("--t", type=_fraction, required=True)
+        p.add_argument("--s", type=_fraction, required=True)
+        p.add_argument("--x", type=_fraction, required=True)
+        p.add_argument("--alpha", type=_fraction, default=None)
+        p.add_argument("--R", type=_fraction, default=Fraction(1))
+        p.add_argument("--k", type=int, default=0)
+        p.add_argument("--l", type=int, default=1)
+        p.add_argument("--lambda", dest="lam", type=_fraction, default=Fraction(1, 2))
+        p.add_argument("--steps", type=int, default=8)
 
-    p = sub.add_parser("morse-trace", help="exact trace for z^2/2 + z^3")
-    p.add_argument("--steps", type=int, default=4)
-    p.add_argument("--order", type=int, default=None,
-                   help="truncation order (default 2^(steps+1)+4)")
-    _add_common(p, csv_ok=False)
-    p.set_defaults(func=_cmd_normalize, n=3, beta=Fraction(1))
+    actions = sub.add_parser("defset", help="definition-set algebra").add_subparsers(
+        dest="action", required=True)
+    boundary = 'boundary JSON, or "diagonal"/"closed-diagonal"'
+    with _command(actions, "contains", _cmd_contains, help="is (t, s) in the set") as p:
+        p.add_argument("--set", required=True, help=boundary)
+        p.add_argument("--t", type=_float_fraction, required=True)
+        p.add_argument("--s", type=_float_fraction, required=True)
+    with _command(actions, "convolve", _cmd_convolve, help="convolve with --other") as p:
+        p.add_argument("--set", required=True, help=boundary)
+        p.add_argument("--other", required=True, help=boundary)
+    with _command(actions, "idempotent", _cmd_idempotent, help="A * A = A on a grid") as p:
+        p.add_argument("--set", required=True, help=boundary)
+        p.add_argument("--grid", type=int, default=32)
+    checks = sub.add_parser("norms", help="norm inequality checks").add_subparsers(
+        dest="check", required=True)
+    with _command(checks, "nagumo", _cmd_nagumo, help="Cauchy-Nagumo estimate") as p:
+        p.add_argument("--coeffs", type=_fraction_list, default="0,0,1",
+                       help="comma-separated exact coefficients")
+        p.add_argument("--k", type=int, default=1)
+        p.add_argument("--t", type=_fraction, default=Fraction(1))
+        p.add_argument("--s", type=_fraction, default=Fraction(1, 2))
+    with _command(checks, "borel", _cmd_borel, help="geometric Borel bound 1/(1-x)") as p:
+        p.add_argument("--x", type=_float_fraction, default=Fraction(1, 2))
+    with _command(checks, "lambda-p", _cmd_lambda_p, help="lambda-p on a grid") as p:
+        p.add_argument("--grid", type=int, default=10)
 
-    p = sub.add_parser("normalize", help="exact trace for z^2/2 + beta z^n")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--beta", type=_fraction, default=Fraction(1))
-    p.add_argument("--steps", type=int, default=3)
-    p.add_argument("--order", type=int, default=None)
-    _add_common(p, csv_ok=False)
-    p.set_defaults(func=_cmd_normalize)
-
-    p = sub.add_parser("certify", help="evaluate the convergence certificate")
-    p.add_argument("--t0", type=_float_fraction, required=True)
-    p.add_argument("--lambda", dest="lam", type=_float_fraction, default=Fraction(1, 4))
-    p.add_argument("--mu", type=_float_fraction, default=Fraction(1, 2))
-    p.add_argument("--r", type=_float_fraction, default=Fraction(1, 2))
-    p.add_argument("--beta", type=_float_fraction, default=Fraction(1))
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--steps", type=int, default=0,
-                   help="also emit the certified bound trajectory")
-    _add_common(p, csv_ok=False)
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("threshold", help="largest admissible t0")
-    p.add_argument("--lambda", dest="lam", type=_float_fraction, default=Fraction(1, 4))
-    p.add_argument("--mu", type=_float_fraction, default=Fraction(1, 2))
-    p.add_argument("--r", type=_float_fraction, default=Fraction(1, 2))
-    p.add_argument("--beta", type=_float_fraction, default=Fraction(1))
-    p.add_argument("--n", type=int, default=3)
-    _add_common(p, csv_ok=False)
-    p.set_defaults(func=_cmd_threshold)
-
-    p = sub.add_parser("optimize", help="maximize the certified radius")
-    p.add_argument("--mode", choices=["basic", "equalized"], default="equalized")
-    _add_common(p, csv_ok=False)
-    p.set_defaults(func=_cmd_optimize)
-
-    p = sub.add_parser("qtable", help="certified-vs-true radius ratios")
-    p.add_argument("--n", type=_int_list, default=[3, 4, 5, 6, 7, 8, 9, 10, 20, 50])
-    _add_common(p)
-    p.set_defaults(func=_cmd_qtable)
-
-    p = sub.add_parser("prisma", help="iterate the norm dynamics")
-    p.add_argument("--t", type=_fraction, required=True)
-    p.add_argument("--s", type=_fraction, required=True)
-    p.add_argument("--x", type=_fraction, required=True)
-    p.add_argument("--alpha", type=_fraction, default=None)
-    p.add_argument("--R", type=_fraction, default=Fraction(1))
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--l", type=int, default=1)
-    p.add_argument("--lambda", dest="lam", type=_fraction, default=Fraction(1, 2))
-    p.add_argument("--steps", type=int, default=8)
-    _add_common(p, csv_ok=False)
-    p.set_defaults(func=_cmd_prisma)
-
-    p = sub.add_parser("defset", help="definition-set algebra")
-    p.add_argument("action", choices=["contains", "convolve", "idempotent"])
-    p.add_argument("--set", required=True,
-                   help='boundary JSON, or "diagonal"/"closed-diagonal"')
-    p.add_argument("--other", default=None, help="second set for convolve")
-    p.add_argument("--t", type=_float_fraction, default=None)
-    p.add_argument("--s", type=_float_fraction, default=None)
-    p.add_argument("--grid", type=int, default=32)
-    _add_common(p, csv_ok=False)
-    p.set_defaults(func=_cmd_defset)
-
-    p = sub.add_parser("norms", help="norm inequality checks")
-    p.add_argument("check", choices=["nagumo", "borel", "lambda-p"])
-    p.add_argument("--coeffs", type=_fraction_list, default="0,0,1",
-                   help="comma-separated exact coefficients (nagumo)")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--t", type=_fraction, default=Fraction(1))
-    p.add_argument("--s", type=_fraction, default=Fraction(1, 2))
-    p.add_argument("--x", type=_float_fraction, default=Fraction(1, 2))
-    p.add_argument("--grid", type=int, default=10)
-    _add_common(p, csv_ok=False)
-    p.set_defaults(func=_cmd_norms)
-
-    p = sub.add_parser("plot-grid", help="objective values for contouring")
-    p.add_argument("--objective", choices=["basic", "equalized"], default="basic")
-    p.add_argument("--resolution", type=int, default=50)
-    _add_common(p)
-    p.set_defaults(func=_cmd_plot_grid)
+    with _command(sub, "plot-grid", _cmd_plot_grid, csv_ok=True,
+                  help="objective values for contouring") as p:
+        p.add_argument("--objective", choices=["basic", "equalized"], default="basic")
+        p.add_argument("--resolution", type=int, default=50)
 
     return parser
 

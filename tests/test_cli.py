@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from lienorm import normalform
+from lienorm import cli, normalform
 from lienorm.cli import run
 
 
@@ -337,21 +338,26 @@ class TestExitCodes:
     def test_unknown_flag(self, capsys):
         assert run(["morse-trace", "--bogus"]) == 2
 
-    @pytest.mark.parametrize("argv, flag", [
-        (["certify", "--t0", "1e400"], "--t0"),
-        (["certify", "--t0", "1/250", "--lambda", "-1e400"], "--lambda"),
-        (["threshold", "--beta", "1e400"], "--beta"),
-        (["norms", "borel", "--x", "1e400"], "--x"),
-        (["defset", "contains", "--set", "diagonal", "--t", "1e400", "--s", "1/2"], "--t"),
+    # a value below the range would be read as 0.0
+    @pytest.mark.parametrize("argv, flag, side", [
+        (["certify", "--t0", "1e400"], "--t0", "past"),
+        (["certify", "--t0", "1/250", "--lambda", "-1e400"], "--lambda", "past"),
+        (["threshold", "--beta", "1e400"], "--beta", "past"),
+        (["norms", "borel", "--x", "1e400"], "--x", "past"),
+        (["defset", "contains", "--set", "diagonal", "--t", "1e400", "--s", "1/2"], "--t",
+         "past"),
+        (["certify", "--t0", "1e-400"], "--t0", "below"),
+        (["defset", "contains", "--set", "diagonal", "--t", "1e-400", "--s", "1e-401"], "--t",
+         "below"),
     ], ids=["certify-t0", "certify-negative-lambda", "threshold-beta", "borel-x",
-            "defset-t"])
-    def test_value_past_the_float_range_names_the_option(self, capsys, argv, flag):
+            "defset-t", "certify-t0-below", "defset-t-below"])
+    def test_value_past_the_float_range_names_the_option(self, capsys, argv, flag, side):
         value = argv[argv.index(flag) + 1]
         code, out, err = run_capture(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("usage:")
-        assert err.endswith("error: argument %s: past the float range: %r\n"
-                            % (flag, value))
+        assert err.endswith("error: argument %s: %s the float range: %r\n"
+                            % (flag, side, value))
 
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 2
@@ -390,20 +396,49 @@ class TestExitCodes:
         assert err.startswith("error: %s must be >= " % argv[-2])
 
     @pytest.mark.parametrize("argv, message", [
+        # argparse names a missing option after its usage line
         (["defset", "contains", "--set", "diagonal", "--s", "1/2"],
-         "contains needs --t and --s"),
-        (["defset", "convolve", "--set", "diagonal"], "convolve needs --other"),
+         "lienorm defset contains: error: the following arguments are required: --t"),
+        (["defset", "convolve", "--set", "diagonal"],
+         "lienorm defset convolve: error: the following arguments are required: --other"),
         (["plot-grid", "--resolution", "1"], "resolution must be >= 2"),
         (["normalize", "--n", "9", "--order", "8"],
          "perturbation exponent 9 exceeds order 8"),
         # x < 1, but 1/(1 - x) = 10^400
         (["norms", "borel", "--x", "0." + "9" * 400],
          "the bound 1/(1-x) is past the float range"),
+        # only values just past the cap: a grid at the cap runs for seconds
+        (["defset", "idempotent", "--set", "diagonal", "--grid", "501"],
+         "--grid 501 is over the budget of 500"),
+        (["norms", "lambda-p", "--grid", "501"], "--grid 501 is over the budget of 500"),
+        (["plot-grid", "--resolution", "501"], "--resolution 501 is over the budget of 500"),
     ], ids=["contains-without-t", "convolve-without-other", "plot-grid-resolution-1",
-            "exponent-above-order", "borel-bound-above-float-range"])
+            "exponent-above-order", "borel-bound-above-float-range",
+            "idempotent-grid-over-budget", "lambda-p-grid-over-budget",
+            "plot-grid-resolution-over-budget"])
     def test_missing_or_inconsistent_argument_is_exit_two(self, capsys, argv, message):
         code, out, err = run_capture(capsys, *argv)
-        assert (code, out, err) == (2, "", "error: %s\n" % message)
+        assert (code, out) == (2, "")
+        if message.startswith("lienorm "):
+            assert err.startswith("usage: lienorm ") and err.endswith("\n%s\n" % message)
+        else:
+            assert err == "error: %s\n" % message
+
+    # each check or action takes only the options it reads
+    @pytest.mark.parametrize("argv", [
+        ["norms", "borel", "--k", "5"],
+        ["norms", "borel", "--grid", "3"],
+        ["norms", "nagumo", "--x", "1/2"],
+        ["norms", "lambda-p", "--x", "1/2"],
+        ["defset", "idempotent", "--set", "diagonal", "--t", "1/2"],
+        ["defset", "convolve", "--set", "diagonal", "--other", "diagonal", "--grid", "3"],
+        ["defset", "contains", "--set", "diagonal", "--t", "1", "--s", "1/2",
+         "--other", "diagonal"],
+    ], ids=lambda argv: argv[1] + argv[-2][1:])
+    def test_foreign_option_is_exit_two(self, capsys, argv):
+        code, out, err = run_capture(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: %s\n" % " ".join(argv[-2:]))
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "out.json"
@@ -474,6 +509,56 @@ def test_coeffs_are_read_by_argparse(capsys, coeffs):
     code, out, err = run_capture(capsys, "norms", "nagumo", "--coeffs=" + coeffs)
     assert (code, out) == (2, "")
     assert err.startswith("usage:") and "argument --coeffs: not an exact number" in err
+
+
+def _commands(parser, path=()):
+    """(argv prefix, parser) of each command under parser: a parser with
+    no subcommands of its own."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _commands(child, path + (name,))
+
+
+COMMANDS = dict(_commands(cli.build_parser()))
+# one valid run of each command; a new command needs a row here
+COMMAND_ARGV = {
+    ("morse-trace",): ["--steps", "1"],
+    ("normalize",): ["--steps", "1"],
+    ("certify",): ["--t0", "1/250", "--steps", "1"],
+    ("threshold",): [],
+    ("optimize",): ["--mode", "basic"],
+    ("qtable",): ["--n", "3"],
+    ("prisma",): ["--t", "1", "--s", "3/4", "--x", "1/16", "--steps", "2"],
+    ("defset", "contains"): ["--set", "diagonal", "--t", "1", "--s", "1/2"],
+    ("defset", "convolve"): ["--set", "diagonal", "--other", "closed-diagonal"],
+    ("defset", "idempotent"): ["--set", "diagonal", "--grid", "2"],
+    ("norms", "nagumo"): [],
+    ("norms", "borel"): [],
+    ("norms", "lambda-p"): ["--grid", "2"],
+    ("plot-grid",): ["--resolution", "3"],
+}
+
+
+@pytest.mark.parametrize("path", COMMANDS, ids=" ".join)
+def test_command_reads_every_option_it_declares(capsys, path):
+    # run's steps, on a namespace that records each attribute read
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    args = Recording(**vars(cli.build_parser().parse_args([*path, *COMMAND_ARGV[path]])))
+    read.clear()
+    doc, code, *table = args.func(args)
+    cli._write(cli._emit(doc, args, *table), args)
+    assert code == 0 and capsys.readouterr().out
+    declared = {a.dest for a in COMMANDS[path]._actions if a.dest != "help"}
+    assert declared - read == set()
 
 
 # stdout, stderr and exit code of these runs, recorded before the prisma
