@@ -169,6 +169,10 @@ class Certificate:
             raise ValueError("need perturbation exponent n >= 3")
         if t0 <= 0:
             raise ValueError("need t0 > 0")
+        if not t0**2:
+            # R below divides by t0^2
+            raise ValueError("t0 = %r is too small: t0**2 underflows to 0.0 in floats"
+                             % t0)
         object.__setattr__(self, "s0", mu * t0)
         rho0, rhs_i, rhs_ii = _condition_rhs(lam, mu, r, n)
         object.__setattr__(self, "rho0", rho0)

@@ -16,11 +16,12 @@ from the truncation orders and leading orders of its inputs, so a claim
 identities testable as exact equalities.
 
 Every series product goes through one kernel, ``_raw_mul``: it takes two
-integer vectors, packs each into one Python int with slots wide enough
-for any coefficient of the product (Kronecker substitution), does one
-big-integer multiply and reads the slots back as integers; the caller
-holds the product of the two denominators.  Composition is a Taylor
-shift built on the same kernel (see :meth:`TruncSeries.compose`).
+integer vectors, skips their leading zeros, packs the rest of each into
+one Python int with slots wide enough for any coefficient of the product
+(Kronecker substitution), does one big-integer multiply and reads the
+slots back as integers, shifted past the skipped zeros; the caller holds
+the product of the two denominators.  Composition is a Taylor shift built
+on the same kernel (see :meth:`TruncSeries.compose`).
 
 A derivation ``v(z) d/dz`` is given by its coefficient series ``v``.
 The module applies derivations to series, takes the terminating Lie
@@ -426,24 +427,30 @@ def _raw_mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     """Coefficients 0..n of the product of the integer vectors a and b,
     by Kronecker substitution.
 
-    Every coefficient of a*b is at most max|a|*max|b|*min(len) in absolute
-    value.  In slots of w bits, a whole number of bytes with one bit to
-    spare for the sign, the product of the packed integers sum a_i 2^(w i)
-    and sum b_j 2^(w j) therefore holds the coefficients of a*b side by
-    side.  Adding 2^(w-1) to every slot makes them all nonnegative, and the
-    slots are read back from the bytes of that sum.
+    Leading zeros are stripped first: with la and lb of them, the nonzero
+    parts are multiplied to order n - la - lb and the product is shifted
+    back by la + lb.  Every coefficient of that product is at most
+    max|a|*max|b|*min(len) in absolute value.  In slots of w bits, a whole
+    number of bytes with one bit to spare for the sign, the product of the
+    packed integers sum a_i 2^(w i) and sum b_j 2^(w j) therefore holds its
+    coefficients side by side.  Adding 2^(w-1) to every slot makes them all
+    nonnegative, and the slots are read back from the bytes of that sum.
     """
-    a, b = a[: n + 1], b[: n + 1]
-    bound = max(map(abs, a), default=0) * max(map(abs, b), default=0)
-    if not bound:
+    la = next((i for i, x in enumerate(a) if x), n + 1)
+    lb = next((i for i, x in enumerate(b) if x), n + 1)
+    m = n - la - lb  # working order of the nonzero parts
+    if m < 0:
         return [0] * (n + 1)
+    a, b = a[la : la + m + 1], b[lb : lb + m + 1]
+    bound = max(map(abs, a)) * max(map(abs, b))
     nb = (bound * min(len(a), len(b))).bit_length() // 8 + 1  # bytes per slot
     half = 1 << (8 * nb - 1)
-    size = nb * (n + 1)
-    bias = int.from_bytes(half.to_bytes(nb, "little") * (n + 1), "little")
+    size = nb * (m + 1)
+    bias = int.from_bytes(half.to_bytes(nb, "little") * (m + 1), "little")
     c = (_pack(a, nb) * _pack(b, nb) + bias) & ((1 << (8 * size)) - 1)
     raw = c.to_bytes(size, "little")
-    return [int.from_bytes(raw[i : i + nb], "little") - half for i in range(0, size, nb)]
+    return [0] * (la + lb) + [int.from_bytes(raw[i : i + nb], "little") - half
+                              for i in range(0, size, nb)]
 
 
 def _pack(v: Sequence[int], nb: int) -> int:
@@ -476,10 +483,18 @@ def lie_exp(v: TruncSeries, f: TruncSeries) -> TruncSeries:
     Each application of v raises the order by order(v) - 1, so the sum
     terminates once the terms leave the truncation window; this needs
     order(v) >= 2 (the zero derivation counts, its order is +inf).
+
+    Each term is computed only to the order the sum keeps.  Before v is
+    applied, the term is cut at N - order(v) + 1, N the truncation order
+    of the sum: its coefficients above that reach only past z^N.  Every
+    term the sum keeps then has the same coefficients as without the cut,
+    at the truncation order min(r, N), r the order the product rule would
+    certify without it; and the sum stops at the same term.
     """
-    if v.order is not math.inf and v.order <= 1:
+    ov = v.order
+    if ov is not math.inf and ov <= 1:
         raise NonTerminatingExponentialError(
-            "lie_exp needs order(v) >= 2, got %s" % v.order
+            "lie_exp needs order(v) >= 2, got %s" % ov
         )
     total = f
     term = f
@@ -488,6 +503,8 @@ def lie_exp(v: TruncSeries, f: TruncSeries) -> TruncSeries:
     while True:
         k += 1
         fact *= k
+        if ov is not math.inf:
+            term = term.truncate(max(total.trunc_order - ov + 1, 0))
         term = apply_derivation(v, term)
         if term._eff_order() > total.trunc_order:
             break

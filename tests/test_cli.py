@@ -412,10 +412,16 @@ class TestExitCodes:
          "--grid 501 is over the budget of 500"),
         (["norms", "lambda-p", "--grid", "501"], "--grid 501 is over the budget of 500"),
         (["plot-grid", "--resolution", "501"], "--resolution 501 is over the budget of 500"),
+        # t0 is a float, but R = 2(1-r)^2/t0^2 would divide by 0.0
+        (["certify", "--t0", "1e-200"],
+         "t0 = 1e-200 is too small: t0**2 underflows to 0.0 in floats"),
+        (["certify", "--t0", "1e-320"],
+         "t0 = 1e-320 is too small: t0**2 underflows to 0.0 in floats"),
     ], ids=["contains-without-t", "convolve-without-other", "plot-grid-resolution-1",
             "exponent-above-order", "borel-bound-above-float-range",
             "idempotent-grid-over-budget", "lambda-p-grid-over-budget",
-            "plot-grid-resolution-over-budget"])
+            "plot-grid-resolution-over-budget", "certify-t0-square-underflow",
+            "certify-subnormal-t0"])
     def test_missing_or_inconsistent_argument_is_exit_two(self, capsys, argv, message):
         code, out, err = run_capture(capsys, *argv)
         assert (code, out) == (2, "")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lienorm import num
+from lienorm import normalform, num
 from lienorm.power_series import (
     CompositionDomainError,
     InsufficientTruncationError,
@@ -222,6 +222,30 @@ class TestLieExp:
         with pytest.raises(NonTerminatingExponentialError):
             lie_exp(Z(4), Z(4))
 
+    def test_products_stay_inside_the_window_of_the_sum(self, monkeypatch):
+        # a term's coefficients past the sum's truncation order are dropped,
+        # so no product should compute them
+        orders = []
+        mul = TruncSeries.__mul__
+
+        def spy(self, other):
+            out = mul(self, other)
+            orders.append(out.trunc_order)
+            return out
+
+        def checked(v, f):
+            orders.clear()
+            out = lie_exp(v, f)
+            assert orders and max(orders) <= out.trunc_order
+            return out
+
+        monkeypatch.setattr(TruncSeries, "__mul__", spy)
+        monkeypatch.setattr(normalform, "lie_exp", checked)
+        n = normalform.default_trunc_order(3)
+        trace = normalform.lie_iterate_formal(
+            normalform.quadratic_normal_form(n), TruncSeries.monomial(3, n), 3)
+        assert len(trace) == 4
+
 
 class TestSerialization:
     def test_round_trip(self):
@@ -361,11 +385,14 @@ def horner_compose(f, g):
     return out, n
 
 
-# the product kernel's integer vectors: small and huge, signed, or all zero
+# the product kernel's integer vectors: small and huge, signed, all zero,
+# or behind a run of leading zeros
 int_vectors = st.one_of(
     st.lists(st.integers(-(10**70), 10**70), max_size=10),
     st.lists(st.integers(-3, 3), max_size=10),
     st.lists(st.just(0), max_size=10),
+    st.builds(lambda k, v: [0] * k + v, st.integers(min_value=1, max_value=8),
+              st.lists(st.integers(-(10**70), 10**70), max_size=8)),
 )
 
 
@@ -572,11 +599,20 @@ def test_binomial_pow_matches_binomial_series(tail, e):
     assert_is(f.binomial_pow(e), ref_binomial_pow(ref(f), e))
 
 
-@given(st.lists(mixed_rationals, max_size=5), outer_series, st.sampled_from([1, -1]))
-@settings(max_examples=60, deadline=None)
-def test_lie_exp_matches_fraction_reference(vtail, f, sign):
+@given(st.one_of(st.integers(min_value=2, max_value=6), st.none()), nonzero,
+       st.lists(mixed_rationals, max_size=4), outer_series,
+       st.integers(min_value=-3, max_value=3), st.sampled_from([1, -1]))
+@settings(max_examples=120, deadline=None)
+def test_lie_exp_matches_fraction_reference(order, lead, vtail, f, shift, sign):
+    # v of the given order, or the zero derivation (order None), known to
+    # below, at or above f's truncation order; lie_iterate_formal passes
+    # f.trunc_order - 1
+    if order is None:
+        v = TruncSeries.zero(max(f.trunc_order + shift, 0))
+    else:
+        v = TruncSeries([F(0)] * order + [lead] + vtail,
+                        max(f.trunc_order + shift, order))
     # sum_k sign^k v^k(f) / k! is e^{-w} f with w = -sign*v
-    v = TruncSeries([F(0), F(0)] + vtail, 9)
     assert_is(lie_exp(-sign * v, f), ref_lie_exp(ref(v), ref(f), sign))
 
 
