@@ -113,28 +113,30 @@ def normalizer_series(trace: LieTrace) -> TruncSeries:
     return psi
 
 
-def _condition_rhs(lam, mu, r, n):
-    """(rho0, rhs_i, rhs_ii): the multiplier rho(t0, s0) and the right-hand
-    sides of certificate conditions i and ii."""
-    rho0 = 1 + lam - lam / mu
-    rhs_i = r * (1 - mu) / mu ** (n - 1)
-    rhs_ii = 2 * (1 - r) ** 2 * rho0 * lam**2 * (1 - mu) ** 2 / mu ** (n - 2)
-    return rho0, rhs_i, rhs_ii
-
-
 def t_inf(lam, mu, t0):
     """Radius (mu - lam)/(1 - lam) * t0 that the certified run keeps."""
     return (mu - lam) / (1 - lam) * t0
+
+
+def _step_gaps(state, cfg, r):
+    """The certified step test: the gaps r(t-s) - x (tetrahedron),
+    invariant_bound - x and s - lam*t (invariant set), each > 0 when its
+    test holds."""
+    t, s, x = state.t, state.s, state.x
+    return r * (t - s) - x, prisma.invariant_bound(state, cfg) - x, s - cfg.lam * t
 
 
 @dataclass(frozen=True)
 class Certificate:
     """Convergence certificate for the perturbation beta * z^n of z^2/2.
 
-    Conditions (all in the scaled variables s0 = mu*t0):
-      i)   e*beta*t0^(n-2) <= r(1-mu)/mu^(n-1)      (starting tetrahedron)
-      ii)  e*beta*t0^(n-2) <  2(1-r)^2 rho0 lam^2 (1-mu)^2 / mu^(n-2)
-      iii) mu > lam                                  (base iteration)
+    Conditions i-iii are the strict step tests (_step_gaps) of the
+    certified chain at its state 0, state0 = (t0, s0, e*beta*s0^(n-1))
+    with s0 = mu*t0, under cfg = IterConfig(R, k=1, l=2, lam):
+      i)   x0 < r(t0 - s0)                   (starting tetrahedron)
+      ii)  x0 < prisma.invariant_bound       (invariant set)
+      iii) s0 > lam*t0, i.e. mu > lam        (base iteration)
+    Each margin is its gap over mu^(n-1)*t0 (i, ii) or t0 (iii).
     """
 
     t0: float
@@ -148,6 +150,8 @@ class Certificate:
     C: float = field(init=False)
     R: float = field(init=False)
     t_inf: float = field(init=False)
+    state0: prisma.PrismaState = field(init=False, repr=False)
+    cfg: prisma.IterConfig = field(init=False, repr=False)
     cond_i: bool = field(init=False)
     cond_ii: bool = field(init=False)
     cond_iii: bool = field(init=False)
@@ -169,31 +173,26 @@ class Certificate:
             raise ValueError("need perturbation exponent n >= 3")
         if t0 <= 0:
             raise ValueError("need t0 > 0")
-        if not t0**2:
-            # R below divides by t0^2
-            raise ValueError("t0 = %r is too small: t0**2 underflows to 0.0 in floats"
-                             % t0)
-        object.__setattr__(self, "s0", mu * t0)
-        rho0, rhs_i, rhs_ii = _condition_rhs(lam, mu, r, n)
-        object.__setattr__(self, "rho0", rho0)
-        object.__setattr__(self, "C", t0**2 / (2 * (1 - r) ** 2))
-        object.__setattr__(self, "R", 2 * (1 - r) ** 2 / t0**2)
-        object.__setattr__(self, "t_inf", t_inf(lam, mu, t0))
-        lhs = E * beta * t0 ** (n - 2)
-        object.__setattr__(self, "cond_i", lhs <= rhs_i)
-        object.__setattr__(self, "cond_ii", lhs < rhs_ii)
-        object.__setattr__(self, "cond_iii", mu > lam)
-        object.__setattr__(self, "margin_i", rhs_i - lhs)
-        object.__setattr__(self, "margin_ii", rhs_ii - lhs)
-        object.__setattr__(self, "margin_iii", mu - lam)
+        R = 2 * (1 - r) ** 2 / t0**2 if t0**2 else math.inf
+        if not 0 < R < math.inf:
+            raise ValueError("t0 = %r is out of range: R = 2(1-r)^2/t0^2 is %r in floats"
+                             % (t0, R))
+        s0 = mu * t0
+        state0 = prisma.PrismaState(t0, s0, E * beta * s0 ** (n - 1))
+        cfg = prisma.IterConfig(R=R, k=1, l=2, lam=lam)
+        i, ii, iii = _step_gaps(state0, cfg, r)
+        scale = mu ** (n - 1) * t0
+        for name, value in dict(
+            s0=s0, rho0=prisma.rho(1, mu, lam), C=t0**2 / (2 * (1 - r) ** 2), R=R,
+            t_inf=t_inf(lam, mu, t0), state0=state0, cfg=cfg,
+            cond_i=i > 0, cond_ii=ii > 0, cond_iii=iii > 0,
+            margin_i=i / scale, margin_ii=ii / scale, margin_iii=iii / t0,
+        ).items():
+            object.__setattr__(self, name, value)
 
     @property
     def passes(self) -> bool:
         return self.cond_i and self.cond_ii and self.cond_iii
-
-    def initial_bound(self) -> float:
-        """Calibrated norm bound e*beta*s0^(n-1) of the first derivation."""
-        return E * self.beta * self.s0 ** (self.n_exponent - 1)
 
     def to_dict(self) -> dict:
         return {
@@ -214,7 +213,9 @@ def certify(t0, lam, mu, r, beta, n) -> Certificate:
 
 
 def threshold_T0(lam, mu, r, beta, n) -> float:
-    """Supremum of admissible t0: (min(rhs_i, rhs_ii)/(e*beta))^(1/(n-2))."""
+    """Supremum of admissible t0, (min(rhs_i, rhs_ii)/(e*beta))^(1/(n-2))
+    from the closed forms of conditions i and ii; ValueError when the
+    float is not positive and finite, as the exact value is."""
     lam, mu, r, beta = float(lam), float(mu), float(r), float(beta)
     if not 0 < lam < mu < 1:
         raise ValueError("need 0 < lambda < mu < 1")
@@ -224,37 +225,39 @@ def threshold_T0(lam, mu, r, beta, n) -> float:
         raise ValueError("need beta > 0")
     if n < 3:
         raise ValueError("need n >= 3")
-    _, rhs_i, rhs_ii = _condition_rhs(lam, mu, r, n)
-    return (min(rhs_i, rhs_ii) / (E * beta)) ** (1.0 / (n - 2))
+    rhs_i = r * (1 - mu) / mu ** (n - 1)
+    rhs_ii = 2 * (1 - r) ** 2 * prisma.rho(1, mu, lam) * lam**2 * (1 - mu) ** 2 / mu ** (n - 2)
+    T0 = (min(rhs_i, rhs_ii) / (E * beta)) ** (1.0 / (n - 2))
+    if not 0 < T0 < math.inf:
+        raise ValueError("T0 rounds to %r in floats" % T0)
+    return T0
 
 
 def lie_iterate_certified(cert: Certificate, steps: int):
     """Norm-bound trajectory [(t_n, s_n, bound_n)] of the certified run.
 
-    bound_0 is the Cauchy-Nagumo chain value e*beta*s0^(n-1); later
-    bounds follow the quadratic prisma map with pole orders (k, l) =
-    (1, 2) and R = 2(1-r)^2/t0^2 (the worked constant C = 2 t0^2 at
-    r = 1/2).  Containment in both invariant sets is asserted at every
-    step and a breach names the failing step.
+    It starts from cert.state0, whose bound e*beta*s0^(n-1) is the
+    Cauchy-Nagumo chain value, and follows the quadratic prisma map of
+    cert.cfg: (k, l) = (1, 2) and R = 2(1-r)^2/t0^2 (the worked constant
+    C = 2 t0^2 at r = 1/2).  Every state must pass the strict step test
+    whose step 0 is conditions i-iii, so the run breaches at step 0
+    exactly when the certificate fails; a breach names the failing step.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    if not cert.cond_iii:
-        raise CertificateBreachError(0, "mu <= lambda: base iteration undefined")
-    cfg = prisma.IterConfig(R=cert.R, k=1, l=2, lam=cert.lam)
-    state = prisma.PrismaState(cert.t0, cert.s0, cert.initial_bound())
-    out = []
+    state, out = cert.state0, []
     for n in range(steps + 1):
         t, s, x = state.t, state.s, state.x
-        if not x < cert.r * (t - s):
+        tetrahedron, invariant, base = _step_gaps(state, cert.cfg, cert.r)
+        if not tetrahedron > 0:
             raise CertificateBreachError(
                 n, "step %d: bound %g leaves the tetrahedron r*(t-s) = %g"
                 % (n, x, cert.r * (t - s))
             )
-        if not prisma.in_invariant_set(state, cfg):
+        if not (invariant > 0 and base > 0):
             raise CertificateBreachError(
                 n, "step %d: bound %g leaves the quadratic invariant set" % (n, x)
             )
         out.append((t, s, x))
-        state = prisma.step(state, cfg)
+        state = prisma.step(state, cert.cfg)
     return out

@@ -109,14 +109,15 @@ def step(state: PrismaState, cfg: IterConfig) -> PrismaState:
     return PrismaState(s, s_next, x2, alpha)
 
 
+def invariant_bound(state: PrismaState, cfg: IterConfig):
+    """The invariant set's cap R rho^k s^k lam^l (t-s)^l on x at (t, s)."""
+    t, s, lam = state.t, state.s, cfg.lam
+    return cfg.R * rho(t, s, lam) ** cfg.k * s**cfg.k * lam**cfg.l * (t - s) ** cfg.l
+
+
 def in_invariant_set(state: PrismaState, cfg: IterConfig) -> bool:
-    """Strict membership in {x < R rho^k s^k lam^l (t-s)^l, s > lam t}."""
-    t, s, x = state.t, state.s, state.x
-    lam = cfg.lam
-    if not s > lam * t:
-        return False
-    bound = cfg.R * rho(t, s, lam) ** cfg.k * s**cfg.k * lam**cfg.l * (t - s) ** cfg.l
-    return x < bound
+    """Strict membership in {x < invariant_bound, s > lam t}."""
+    return state.s > cfg.lam * state.t and state.x < invariant_bound(state, cfg)
 
 
 def iterate(state: PrismaState, cfg: IterConfig, n: int) -> list[PrismaState]:

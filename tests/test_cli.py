@@ -100,6 +100,17 @@ class TestCertify:
         assert doc["passes"] is False
         assert doc["conditions"]["ii"]["holds"] is False
 
+    def test_certificate_and_chain_agree_near_the_threshold(self, capsys):
+        # condition ii and the chain's step 0 are one test: a certificate
+        # that passes cannot breach at step 0
+        code, out, _ = run_capture(
+            capsys, "certify", "--t0", "0.00018759442856750846", "--lambda", "7/8",
+            "--mu", "57/64", "--r", "3/4", "--beta", "9/4", "--n", "3", "--steps", "2")
+        doc = json.loads(out)
+        assert code == 1 and doc["passes"] is False and "breach" not in doc
+        assert doc["conditions"]["ii"]["holds"] is False
+        assert doc["conditions"]["ii"]["margin"] < 0
+
     def test_trajectory_attached(self, capsys):
         code, out, _ = run_capture(capsys, "certify", "--t0", "0.004",
                                    "--steps", "5")
@@ -412,16 +423,24 @@ class TestExitCodes:
          "--grid 501 is over the budget of 500"),
         (["norms", "lambda-p", "--grid", "501"], "--grid 501 is over the budget of 500"),
         (["plot-grid", "--resolution", "501"], "--resolution 501 is over the budget of 500"),
-        # t0 is a float, but R = 2(1-r)^2/t0^2 would divide by 0.0
+        # t0 is a float, but R = 2(1-r)^2/t0^2 is not: t0**2 underflows to
+        # 0.0 (1e-200, 1e-320) or R overflows (1e-160, 5e-155)
         (["certify", "--t0", "1e-200"],
-         "t0 = 1e-200 is too small: t0**2 underflows to 0.0 in floats"),
+         "t0 = 1e-200 is out of range: R = 2(1-r)^2/t0^2 is inf in floats"),
         (["certify", "--t0", "1e-320"],
-         "t0 = 1e-320 is too small: t0**2 underflows to 0.0 in floats"),
+         "t0 = 1e-320 is out of range: R = 2(1-r)^2/t0^2 is inf in floats"),
+        (["certify", "--t0", "1e-160"],
+         "t0 = 1e-160 is out of range: R = 2(1-r)^2/t0^2 is inf in floats"),
+        (["certify", "--t0", "5e-155"],
+         "t0 = 5e-155 is out of range: R = 2(1-r)^2/t0^2 is inf in floats"),
+        # T0 is positive in exact terms, but its float is 0.0
+        (["threshold", "--lambda", "1e-300"], "T0 rounds to 0.0 in floats"),
     ], ids=["contains-without-t", "convolve-without-other", "plot-grid-resolution-1",
             "exponent-above-order", "borel-bound-above-float-range",
             "idempotent-grid-over-budget", "lambda-p-grid-over-budget",
             "plot-grid-resolution-over-budget", "certify-t0-square-underflow",
-            "certify-subnormal-t0"])
+            "certify-subnormal-t0", "certify-R-overflow", "certify-R-overflow-edge",
+            "threshold-T0-underflow"])
     def test_missing_or_inconsistent_argument_is_exit_two(self, capsys, argv, message):
         code, out, err = run_capture(capsys, *argv)
         assert (code, out) == (2, "")
@@ -577,7 +596,10 @@ def test_command_reads_every_option_it_declares(capsys, path):
 # have since moved from rho 2.034... and 2.022... to the structural rho 2;
 # the constant-trajectory prisma case was recorded when it passed with
 # C 1.0, and has since moved to exit 1; the defset-contains-outside case
-# was re-recorded when contains began to decide on the exact --t and --s
+# was re-recorded when contains began to decide on the exact --t and --s;
+# the condition ii margin of certify-steps3-pass and certify-fail-exit1 was
+# re-recorded when conditions i-iii became the certified chain's step-0
+# tests (0.0008456226861638192 -> ...207, -0.0018726591422952264 -> ...262)
 GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
 
 

@@ -1,5 +1,6 @@
 import math
 import pickle
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -192,6 +193,53 @@ class TestCertificate:
         assert set(doc["conditions"]) == {"i", "ii", "iii"}
 
 
+class TestOneRule:
+    """Conditions i-iii are the certified chain's strict step-0 tests."""
+
+    @staticmethod
+    def cases(count, seed=22):
+        rng = random.Random(seed)
+        for _ in range(count):
+            n = rng.choice([3, 4, 5, 7, 10])
+            lam, mu = sorted(rng.uniform(0.01, 0.99) for _ in range(2))
+            r, beta = rng.uniform(0.01, 0.99), rng.uniform(0.01, 5)
+            t0 = threshold_T0(lam, mu, r, beta, n)
+            if rng.random() < 0.5:
+                for _ in range(rng.randint(0, 8)):
+                    t0 = math.nextafter(t0, rng.choice([0, math.inf]))
+            else:
+                t0 *= rng.uniform(0.5, 1.5)
+            if rng.random() < 0.05:
+                lam, mu = mu, lam
+            yield certify(t0, lam, mu, r, beta, n)
+
+    def test_verdict_is_step_zero_of_the_chain(self):
+        disagree = []
+        for cert in self.cases(3000):
+            try:
+                lie_iterate_certified(cert, 0)
+                chain = True
+            except CertificateBreachError:
+                chain = False
+            if cert.passes != chain:
+                disagree.append(cert)
+        assert disagree == []
+
+    def test_margin_signs_match_verdicts(self):
+        for cert in self.cases(3000):
+            for c in ("i", "ii", "iii"):
+                holds, margin = getattr(cert, "cond_" + c), getattr(cert, "margin_" + c)
+                assert holds == (margin > 0), (c, cert)
+
+    def test_conditions_are_the_state_zero_gaps(self):
+        cert = morse_certificate()
+        assert (cert.state0.t, cert.state0.s) == (0.004, 0.002)
+        assert cert.state0.x == E * 0.002**2
+        assert (cert.cfg.R, cert.cfg.k, cert.cfg.l, cert.cfg.lam) == (cert.R, 1, 2, 0.25)
+        assert cert.margin_i * 0.5**2 * 0.004 == pytest.approx(0.5 * 0.002 - cert.state0.x)
+        assert cert.margin_iii == pytest.approx(0.25)
+
+
 class TestThreshold:
     def test_reference_threshold(self):
         t0 = threshold_T0(0.25, 0.5, 0.5, 1.0, 3)
@@ -217,6 +265,14 @@ class TestThreshold:
     ], ids=["lambda-above-mu", "lambda-equals-mu", "r-1", "beta-0", "n-2"])
     def test_rejected_parameters(self, args, message):
         with pytest.raises(ValueError, match="^%s$" % message):
+            threshold_T0(*args)
+
+    @pytest.mark.parametrize("args, value", [
+        ((1e-300, 0.5, 0.5, 1.0, 3), "0.0"),
+        ((0.25, 0.5, 0.5, 1e-320, 3), "inf"),
+    ], ids=["underflow", "overflow"])
+    def test_float_out_of_range(self, args, value):
+        with pytest.raises(ValueError, match="^T0 rounds to %s in floats$" % value):
             threshold_T0(*args)
 
     def test_certificate_agrees_with_threshold(self):
@@ -254,8 +310,10 @@ class TestCertifiedIteration:
         assert err.value.step == 0
 
     def test_mu_not_above_lambda_breaches_at_step_zero(self):
+        # s0 <= lam*t0 puts state 0 outside the invariant set
         cert = certify(0.001, 0.6, 0.5, 0.5, 1.0, 3)
-        with pytest.raises(CertificateBreachError, match="^mu <= lambda") as err:
+        with pytest.raises(CertificateBreachError,
+                           match="^step 0: bound .* leaves the quadratic invariant set") as err:
             lie_iterate_certified(cert, 3)
         assert err.value.step == 0
 

@@ -17,6 +17,7 @@ from lienorm.prisma import (
     closed_form_xn,
     closed_form_xn_bound,
     in_invariant_set,
+    invariant_bound,
     iterate,
     rapid_convergence_check,
     rho,
@@ -125,6 +126,12 @@ class TestInvariantSet:
 
     def test_base_condition(self):
         assert not in_invariant_set(PrismaState(F(1), F(1, 2), F(1, 100)), CFG)
+
+    def test_bound_is_the_cap_on_x(self):
+        # R rho^k s^k lam^l (t-s)^l with k = 0, l = 1: 1/2 * 1/4
+        assert invariant_bound(STATE, CFG) == F(1, 8)
+        cfg = IterConfig(R=F(2), k=1, l=2, lam=F(1, 2))
+        assert invariant_bound(STATE, cfg) == 2 * F(5, 6) * F(3, 4) * F(1, 4) * F(1, 16)
 
     def test_rho_factor(self):
         assert rho(F(1), F(3, 4), F(1, 2)) == F(5, 6)
