@@ -5,6 +5,8 @@ of the subdiagonal by a monotone boundary function, or the closed
 subdiagonal itself.  Convolution of two such sets (the set over which
 composed partial morphisms exist) is composition of their boundaries,
 which is carried out symbolically on a small expression grammar.
+DefSet.to_dict writes a set; the one reader, boundary_from_dict, reads
+a boundary node, the form that the command line's --set takes.
 """
 
 from __future__ import annotations
@@ -226,11 +228,6 @@ class DefSet:
             raise ValueError("cone needs alpha > 0")
         return cls(Linear(1 / num(alpha), 0))
 
-    @classmethod
-    def square_map(cls) -> "DefSet":
-        """{s < sqrt(t)} for composition with z -> z**2."""
-        return cls(Power(1, Fraction(1, 2)))
-
     def contains(self, t, s) -> bool:
         if not (0 < s <= self.S and 0 < t <= self.S):
             raise ValueError("point (%s, %s) outside (0, %s]^2" % (t, s, self.S))
@@ -246,18 +243,6 @@ class DefSet:
         if self.boundary is None:
             return {"set": "closed_subdiagonal", "S": self.S}
         return {"set": "boundary", "S": self.S, "boundary": self.boundary.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DefSet":
-        kind = d.get("set") if isinstance(d, dict) else None
-        if not (kind == "closed_subdiagonal" or kind == "boundary" and "boundary" in d):
-            raise UnsupportedShapeError("not a definition set: %r" % (d,))
-        S = d.get("S", cls.S)
-        if isinstance(S, bool) or S != cls.S:
-            raise ValueError("definition sets live in (0, 1]^2, got S=%r" % (S,))
-        if kind == "closed_subdiagonal":
-            return cls(None)
-        return cls(boundary_from_dict(d["boundary"]))
 
     def __repr__(self):
         if self.boundary is None:

@@ -2,13 +2,14 @@
 
 The sup norm of a truncated series on the closed disc of radius t is
 bounded above by the majorant norm sum(|a_n| t^n); the bound is an
-equality when all coefficients are nonnegative.  All comparisons that
-certify inequalities (Cauchy-Nagumo, order filtration, weight sums) are
-carried out in exact rational arithmetic when the inputs allow it.  A
-float reported for an exact value is the least float at or above it;
-the float sum of an order-filtration norm of fractional index carries a
-directed-rounding slack factor 1 + 2**-40 instead.  Either way it stays
-a certified upper bound.
+equality when all coefficients are nonnegative, so majorant_norm(f, x)
+is also the Borel bound f(x) of a majorant series f at x > 0.  All
+comparisons that certify inequalities (Cauchy-Nagumo, order filtration,
+weight sums) are carried out in exact rational arithmetic when the
+inputs allow it.  A float reported for an exact value is the least float
+at or above it; the float sum of an order-filtration norm of fractional
+index carries a directed-rounding slack factor 1 + 2**-40 instead.
+Either way it stays a certified upper bound.
 
 Local-operator bounds compose (compose_local_bounds), and an infinite
 composition of exponentials is bounded by 1/(1 - sum of normalized
@@ -188,21 +189,6 @@ def derivative_bound(k: int = 1) -> LocalOpBound:
     return LocalOpBound(float(math.factorial(k)), 0.0, float(k))
 
 
-def hilbert_to_sup_bound(n: int = 1) -> LocalOpBound:
-    """(0,n)-local bound for restriction from the L2 disc norm to the sup
-    norm in dimension n; the constant is 1/sqrt(C(0)) = pi^(-n/2)."""
-    return LocalOpBound(math.pi ** (-n / 2.0), 0.0, float(n))
-
-
-def borel_bound(fmaj: TruncSeries, x) -> float:
-    """|f|(x) for a stored majorant series with nonnegative coefficients."""
-    if any(c < 0 for c in fmaj.coeffs):
-        raise ValueError("majorant series must have nonnegative coefficients")
-    if x < 0:
-        raise ValueError("need x >= 0")
-    return _upper_float(fmaj.eval_at(_exact(x)))
-
-
 def geometric_borel_bound(x) -> float:
     """Closed form 1/(1-x) for the geometric majorant (the exponential
     case of the operator transform); diverges at x >= 1."""
@@ -233,10 +219,6 @@ class WeightSequence:
         if self.kind == "hilbert":
             return hilbert_weight(n, s)
         return 1.0
-
-    def is_monotone_on_grid(self, n: int, grid: Sequence[float]) -> bool:
-        vals = [self.weight(n, s) for s in sorted(grid)]
-        return all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 def _ratio_sum(lam: WeightSequence, mu: WeightSequence, p: float, s, t):

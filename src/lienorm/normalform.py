@@ -136,7 +136,9 @@ class Certificate:
       i)   x0 < r(t0 - s0)                   (starting tetrahedron)
       ii)  x0 < prisma.invariant_bound       (invariant set)
       iii) s0 > lam*t0, i.e. mu > lam        (base iteration)
-    Each margin is its gap over mu^(n-1)*t0 (i, ii) or t0 (iii).
+    Each margin is its gap over mu^(n-1)*t0 (i, ii) or t0 (iii).  R, C
+    and that margin scale must be positive finite floats (ValueError
+    otherwise); t0**2 past the float range reads as inf.
     """
 
     t0: float
@@ -173,17 +175,26 @@ class Certificate:
             raise ValueError("need perturbation exponent n >= 3")
         if t0 <= 0:
             raise ValueError("need t0 > 0")
-        R = 2 * (1 - r) ** 2 / t0**2 if t0**2 else math.inf
-        if not 0 < R < math.inf:
-            raise ValueError("t0 = %r is out of range: R = 2(1-r)^2/t0^2 is %r in floats"
-                             % (t0, R))
+        try:
+            t0_sq = t0**2
+        except OverflowError:
+            t0_sq = math.inf
+        R = 2 * (1 - r) ** 2 / t0_sq if t0_sq else math.inf
+        C = t0_sq / (2 * (1 - r) ** 2)
+        scale = mu ** (n - 1) * t0
+        for quantity, value in (("R = 2(1-r)^2/t0^2", R), ("C = t0^2/(2(1-r)^2)", C)):
+            if not 0 < value < math.inf:
+                raise ValueError("t0 = %r is out of range: %s is %r in floats"
+                                 % (t0, quantity, value))
+        if not 0 < scale < math.inf:
+            raise ValueError("mu = %r, t0 = %r are out of range: the margin scale "
+                             "mu^(n-1)*t0 is %r in floats" % (mu, t0, scale))
         s0 = mu * t0
         state0 = prisma.PrismaState(t0, s0, E * beta * s0 ** (n - 1))
         cfg = prisma.IterConfig(R=R, k=1, l=2, lam=lam)
         i, ii, iii = _step_gaps(state0, cfg, r)
-        scale = mu ** (n - 1) * t0
         for name, value in dict(
-            s0=s0, rho0=prisma.rho(1, mu, lam), C=t0**2 / (2 * (1 - r) ** 2), R=R,
+            s0=s0, rho0=prisma.rho(1, mu, lam), C=C, R=R,
             t_inf=t_inf(lam, mu, t0), state0=state0, cfg=cfg,
             cond_i=i > 0, cond_ii=ii > 0, cond_iii=iii > 0,
             margin_i=i / scale, margin_ii=ii / scale, margin_iii=iii / t0,
@@ -215,7 +226,8 @@ def certify(t0, lam, mu, r, beta, n) -> Certificate:
 def threshold_T0(lam, mu, r, beta, n) -> float:
     """Supremum of admissible t0, (min(rhs_i, rhs_ii)/(e*beta))^(1/(n-2))
     from the closed forms of conditions i and ii; ValueError when the
-    float is not positive and finite, as the exact value is."""
+    float is not positive and finite, as the exact value is, or when
+    mu^(n-1) rounds to 0.0 (no certificate has a margin scale then)."""
     lam, mu, r, beta = float(lam), float(mu), float(r), float(beta)
     if not 0 < lam < mu < 1:
         raise ValueError("need 0 < lambda < mu < 1")
@@ -225,6 +237,8 @@ def threshold_T0(lam, mu, r, beta, n) -> float:
         raise ValueError("need beta > 0")
     if n < 3:
         raise ValueError("need n >= 3")
+    if not mu ** (n - 1):
+        raise ValueError("T0 has no float value: mu^(n-1) rounds to 0.0 in floats")
     rhs_i = r * (1 - mu) / mu ** (n - 1)
     rhs_ii = 2 * (1 - r) ** 2 * prisma.rho(1, mu, lam) * lam**2 * (1 - mu) ** 2 / mu ** (n - 2)
     T0 = (min(rhs_i, rhs_ii) / (E * beta)) ** (1.0 / (n - 2))

@@ -111,6 +111,8 @@ def F_basic(lam, mu):
 
 
 def _solve_r_row(nus):
+    """For each nu, the root in (0, 1) of r/(1-r)^2 = nu:
+    r = (1 + 2 nu - sqrt(1+4 nu))/(2 nu)."""
     if isinstance(nus[0], complex):
         sqrt = cmath.sqrt
     elif min(nus) <= 0:
@@ -118,11 +120,6 @@ def _solve_r_row(nus):
     else:
         sqrt = math.sqrt
     return [(1 + 2 * nu - sqrt(1 + 4 * nu)) / (2 * nu) for nu in nus]
-
-
-def solve_r(nu):
-    """Root in (0, 1) of r/(1-r)^2 = nu: r = (1 + 2 nu - sqrt(1+4 nu))/(2 nu)."""
-    return _solve_r_row((nu,))[0]
 
 
 def _equal_bound_r_row(lam, mus):

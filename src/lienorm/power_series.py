@@ -224,29 +224,12 @@ class TruncSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        result = TruncSeries.one(self.trunc_order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
     # -- calculus ------------------------------------------------------
 
     def derivative(self) -> "TruncSeries":
         a = self._num
         return _reduced([k * a[k] for k in range(1, len(a))] or [0], self._den,
                         max(self.trunc_order - 1, 0))
-
-    def nabla(self) -> "TruncSeries":
-        """z * d/dz, coefficientwise k*a_k; keeps the truncation order."""
-        return _reduced([k * a for k, a in enumerate(self._num)], self._den,
-                        self.trunc_order)
 
     def hadamard(self, other: "TruncSeries") -> "TruncSeries":
         n = min(self.trunc_order, other.trunc_order)
@@ -362,24 +345,13 @@ class TruncSeries:
         q = _reduced(self._num[d:], self._den, self.trunc_order - d)
         return q, self.truncate(d - 1)
 
-    # -- evaluation and serialization ---------------------------------
-
-    def eval_at(self, t):
-        """Horner evaluation of the stored polynomial part at t."""
-        acc = t * 0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+    # -- serialization -------------------------------------------------
 
     def to_dict(self) -> dict:
         return {
             "trunc_order": self.trunc_order,
             "coeffs": [fraction_str(c) for c in self.coeffs],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TruncSeries":
-        return cls(d["coeffs"], d["trunc_order"])
 
     def __repr__(self):
         terms = []

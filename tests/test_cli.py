@@ -71,7 +71,7 @@ class TestNormalize:
         b0 = doc["rounds"][0]["b"]
         assert b0["coeffs"][4] == "1/2"
         from lienorm.power_series import TruncSeries
-        series = TruncSeries.from_dict(b0)
+        series = TruncSeries(b0["coeffs"], b0["trunc_order"])
         assert series.to_dict() == b0
 
     def test_negative_beta_in_every_spelling(self, capsys):
@@ -433,6 +433,17 @@ class TestExitCodes:
          "t0 = 1e-160 is out of range: R = 2(1-r)^2/t0^2 is inf in floats"),
         (["certify", "--t0", "5e-155"],
          "t0 = 5e-155 is out of range: R = 2(1-r)^2/t0^2 is inf in floats"),
+        # C = t0^2/(2(1-r)^2) overflows; t0**2 itself overflows and reads as inf
+        (["certify", "--t0", "1e154"],
+         "t0 = 1e+154 is out of range: C = t0^2/(2(1-r)^2) is inf in floats"),
+        (["certify", "--t0", "1e200"],
+         "t0 = 1e+200 is out of range: R = 2(1-r)^2/t0^2 is 0.0 in floats"),
+        # mu^(n-1) underflows to 0.0
+        (["certify", "--t0", "0.004", "--mu", "1e-200", "--lambda", "1e-201"],
+         "mu = 1e-200, t0 = 0.004 are out of range: the margin scale mu^(n-1)*t0 "
+         "is 0.0 in floats"),
+        (["threshold", "--mu", "1e-200", "--lambda", "1e-201"],
+         "T0 has no float value: mu^(n-1) rounds to 0.0 in floats"),
         # T0 is positive in exact terms, but its float is 0.0
         (["threshold", "--lambda", "1e-300"], "T0 rounds to 0.0 in floats"),
     ], ids=["contains-without-t", "convolve-without-other", "plot-grid-resolution-1",
@@ -440,6 +451,8 @@ class TestExitCodes:
             "idempotent-grid-over-budget", "lambda-p-grid-over-budget",
             "plot-grid-resolution-over-budget", "certify-t0-square-underflow",
             "certify-subnormal-t0", "certify-R-overflow", "certify-R-overflow-edge",
+            "certify-C-overflow", "certify-t0-square-overflow",
+            "certify-margin-scale-underflow", "threshold-mu-underflow",
             "threshold-T0-underflow"])
     def test_missing_or_inconsistent_argument_is_exit_two(self, capsys, argv, message):
         code, out, err = run_capture(capsys, *argv)

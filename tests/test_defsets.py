@@ -35,7 +35,7 @@ class TestContains:
         assert not A.contains(1, 0.6)
 
     def test_square_map_set(self):
-        A = DefSet.square_map()
+        A = DefSet(Power(1, F(1, 2)))  # composition with z -> z**2
         assert A.contains(0.25, 0.4)
         assert not A.contains(0.25, 0.55)
 
@@ -74,7 +74,8 @@ class TestConvolve:
         assert got.boundary == Power(2, F(1, 2))
 
     def test_square_roots_compose(self):
-        got = convolve(DefSet.square_map(), DefSet.square_map())
+        root = DefSet(Power(1, F(1, 2)))
+        got = convolve(root, root)
         assert got.boundary == Power(1, F(1, 4))
 
     def test_matches_pointwise_semantics(self):
@@ -231,32 +232,14 @@ class TestTangentSlope:
 class TestSerialization:
     def test_linear_round_trip(self):
         A = DefSet(Linear(F(1, 3), F(-1, 8)))
-        back = DefSet.from_dict(A.to_dict())
+        back = DefSet(boundary_from_dict(A.to_dict()["boundary"]))
         assert back.boundary == A.boundary
 
     def test_composed_round_trip(self):
         A = DefSet(Compose(Power(1, F(1, 2)), Linear(2, 0)))
-        back = DefSet.from_dict(A.to_dict())
+        back = DefSet(boundary_from_dict(A.to_dict()["boundary"]))
         for t in (0.1, 0.4, 0.9):
             assert back.boundary(t) == A.boundary(t)
-
-    def test_closed_diagonal_round_trip(self):
-        D = DefSet.closed_subdiagonal()
-        assert DefSet.from_dict(D.to_dict()).boundary is None
-
-    def test_from_dict_accepts_only_the_unit_square(self):
-        doc = DefSet.cone(2).to_dict()
-        assert doc["S"] == 1.0
-        assert DefSet.from_dict(doc).boundary == Linear(F(1, 2), 0)
-        with pytest.raises(ValueError, match="S=2"):
-            DefSet.from_dict(dict(doc, S=2))
-        with pytest.raises(ValueError):
-            DefSet.from_dict({"set": "closed_subdiagonal", "S": 2})
-
-    def test_from_dict_rejects_a_boolean_S(self):
-        # True == 1.0, but true is no side length
-        with pytest.raises(ValueError, match="S=True"):
-            DefSet.from_dict({"set": "closed_subdiagonal", "S": True})
 
     def test_callable_does_not_serialize(self):
         with pytest.raises(UnsupportedShapeError):
@@ -348,18 +331,6 @@ class TestMalformedGrammar:
     def test_field_kind_error_names_the_op_and_the_field(self, doc, message):
         with pytest.raises(UnsupportedShapeError, match="^%s$" % re.escape(message)):
             boundary_from_dict(doc)
-
-    @pytest.mark.parametrize("doc", [
-        pytest.param({"set": "boundary"}, id="boundary-without-boundary"),
-        pytest.param({"set": "spiral", "boundary": LINEAR}, id="unknown-set"),
-        pytest.param({"boundary": LINEAR}, id="no-set"),
-        pytest.param({"set": ["boundary"], "boundary": LINEAR}, id="unhashable-set"),
-        pytest.param([{"set": "closed_subdiagonal"}], id="list"),
-        pytest.param("closed_subdiagonal", id="string"),
-    ])
-    def test_set_level_rejected(self, doc):
-        with pytest.raises(UnsupportedShapeError, match="^not a definition set: "):
-            DefSet.from_dict(doc)
 
     @pytest.mark.parametrize("cls", [Compose, Min])
     def test_operands_must_be_nodes(self, cls):

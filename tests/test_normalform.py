@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -267,12 +268,15 @@ class TestThreshold:
         with pytest.raises(ValueError, match="^%s$" % message):
             threshold_T0(*args)
 
-    @pytest.mark.parametrize("args, value", [
-        ((1e-300, 0.5, 0.5, 1.0, 3), "0.0"),
-        ((0.25, 0.5, 0.5, 1e-320, 3), "inf"),
-    ], ids=["underflow", "overflow"])
-    def test_float_out_of_range(self, args, value):
-        with pytest.raises(ValueError, match="^T0 rounds to %s in floats$" % value):
+    @pytest.mark.parametrize("args, message", [
+        ((1e-300, 0.5, 0.5, 1.0, 3), "T0 rounds to 0.0 in floats"),
+        ((0.25, 0.5, 0.5, 1e-320, 3), "T0 rounds to inf in floats"),
+        # mu^2 underflows, so rhs_i would divide by 0.0
+        ((1e-201, 1e-200, 0.5, 1.0, 3),
+         "T0 has no float value: mu^(n-1) rounds to 0.0 in floats"),
+    ], ids=["underflow", "overflow", "mu-underflow"])
+    def test_float_out_of_range(self, args, message):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             threshold_T0(*args)
 
     def test_certificate_agrees_with_threshold(self):

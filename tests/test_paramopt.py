@@ -14,6 +14,7 @@ from lienorm import paramopt
 from lienorm.normalform import threshold_T0
 from lienorm.paramopt import (
     F_basic,
+    _solve_r_row,
     certified_t_inf,
     equalized_objective,
     maximize_basic,
@@ -23,7 +24,6 @@ from lienorm.paramopt import (
     q_table,
     q_value,
     radius_oracle_series,
-    solve_r,
     true_radius,
 )
 
@@ -49,23 +49,23 @@ class TestFBasic:
 
 class TestSolveR:
     def test_exact_half(self):
-        assert solve_r(2) == pytest.approx(0.5, abs=1e-14)
+        assert _solve_r_row((2,))[0] == pytest.approx(0.5, abs=1e-14)
 
     def test_small_nu_asymptotics(self):
         for nu in (1e-4, 1e-6):
-            assert solve_r(nu) == pytest.approx(nu, rel=1e-3)
+            assert _solve_r_row((nu,))[0] == pytest.approx(nu, rel=1e-3)
 
     def test_defining_equation(self):
         rng = random.Random(3)
         for _ in range(50):
             nu = rng.uniform(1e-3, 50)
-            r = solve_r(nu)
+            r = _solve_r_row((nu,))[0]
             assert 0 < r < 1
             assert r / (1 - r) ** 2 == pytest.approx(nu, abs=1e-12 * max(1, nu))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            solve_r(0)
+            _solve_r_row((0,))
 
 
 class TestBasicOptimum:
@@ -106,7 +106,7 @@ class TestEqualizedOptimum:
         lam, mu = res.lambda_opt, res.mu_opt
         rho = 1 + lam - lam / mu
         nu = 2 * rho * lam**2 * mu * (1 - mu)
-        assert res.r_opt == pytest.approx(solve_r(nu))
+        assert res.r_opt == pytest.approx(_solve_r_row((nu,))[0])
 
 
 class TestTrueRadius:
@@ -470,7 +470,7 @@ class TestConsistencyWithCertificates:
             lam = rng.uniform(0.1, 0.7)
             mu = rng.uniform(lam + 0.02, 0.95)
             rho = 1 + lam - lam / mu
-            r = solve_r(2 * rho * lam**2 * mu * (1 - mu))
+            r = _solve_r_row((2 * rho * lam**2 * mu * (1 - mu),))[0]
             t0 = threshold_T0(lam, mu, r, 1.0, 3)
             t_inf = (mu - lam) / (1 - lam) * t0
             assert E * t_inf == pytest.approx(
