@@ -43,11 +43,10 @@ _SOURCE = {
     ], "power_series"),
     **dict.fromkeys([
         "MajorantValue", "LocalOpBound", "WeightSequence", "majorant_norm",
-        "nagumo_check", "order_filtration_norm", "compose_local_bounds",
-        "calibrate",
+        "nagumo_check", "compose_local_bounds", "calibrate",
     ], "disc_norms"),
     **dict.fromkeys([
-        "DefSet", "convolve", "defset_of_exponential", "defset_of_product",
+        "DefSet", "convolve",
     ], "defsets"),
     **dict.fromkeys([
         "PrismaState", "IterConfig", "rapid_convergence_check",

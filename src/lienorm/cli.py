@@ -13,7 +13,8 @@ reads: any other option exits 2 with usage.
 
 Exit codes: 0 success, 1 failed certificate or divergent bound (the
 document is still emitted with failure detail), 2 invalid input, such
-as a value past the float range, or an --out path that cannot be written.
+as a value past the float range, a document with a non-finite float,
+which JSON cannot carry, or an --out path that cannot be written.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -62,13 +64,28 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
+def _require_finite(value, path="") -> None:
+    """Raise ValueError naming the JSON path of the first float, in output
+    order, that JSON cannot carry (an infinity or a NaN)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError("%s is %r, which JSON cannot carry"
+                         % (path or "the document", value))
+    if isinstance(value, dict):
+        for key, v in sorted(value.items()):
+            _require_finite(v, "%s.%s" % (path, key) if path else str(key))
+    elif isinstance(value, (list, tuple)):
+        for i, v in enumerate(value):
+            _require_finite(v, "%s.%d" % (path, i) if path else str(i))
+
+
 def _emit(document, args, table=None) -> str:
-    """Render the document as JSON, or its table (header row first) as
-    CSV; only subcommands that return a table accept --format csv."""
+    """Render the document as strict JSON, or its table (header row first)
+    as CSV; only subcommands that return a table accept --format csv."""
     if args.format == "json":
         if args.stamp:
             document = {"data": document, "stamp": {"tool": "lienorm"}}
-        return json.dumps(document, indent=2, sort_keys=True) + "\n"
+        _require_finite(document)
+        return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(table)
     if args.stamp:

@@ -2,9 +2,11 @@
 
 A definition set is a region {(t, s) in (0, 1]^2 : s < f(t)} cut out
 of the subdiagonal by a monotone boundary function, or the closed
-subdiagonal itself.  Convolution of two such sets (the set over which
-composed partial morphisms exist) is composition of their boundaries,
-which is carried out symbolically on a small expression grammar.
+subdiagonal itself.  A set is built from a boundary node or is one of
+the canonical sets (the open diagonal, the closed subdiagonal, a cone).
+Convolution of two such sets (the set over which composed partial
+morphisms exist) is composition of their boundaries, which is carried
+out symbolically on a small expression grammar.
 DefSet.to_dict writes a set; the one reader, boundary_from_dict, reads
 a boundary node, the form that the command line's --set takes.
 """
@@ -17,10 +19,6 @@ from fractions import Fraction
 from typing import Callable
 
 from . import fraction_str, num
-
-
-class DegenerateSetError(ValueError):
-    """Construction would give an empty or collapsed definition set."""
 
 
 class UnsupportedShapeError(TypeError):
@@ -276,44 +274,6 @@ def convolve(A: DefSet, B: DefSet) -> DefSet:
 def is_idempotent_on_grid(A: DefSet, grid) -> bool:
     _require_defset(A)
     return A.is_idempotent_on_grid(grid)
-
-
-def defset_of_exponential(norm_fn) -> DefSet:
-    """Definition set {s < t - ||u||(t)} of an exponential.
-
-    norm_fn may be a constant (the norm of a translation-type operator),
-    a pair (c0, c1) for the affine norm c0 + c1*t, or a callable; the
-    affine forms stay inside the symbolic grammar.
-    """
-    if isinstance(norm_fn, (int, float, Fraction)):
-        if norm_fn < 0:
-            raise ValueError("operator norm must be >= 0")
-        if norm_fn == 0:
-            return DefSet.open_diagonal()
-        return DefSet(Linear(1, -norm_fn))
-    if isinstance(norm_fn, tuple):
-        c0, c1 = norm_fn
-        if c0 < 0 or c1 < 0:
-            raise ValueError("affine norm coefficients must be >= 0")
-        if c1 >= 1:
-            raise DegenerateSetError("norm slope %s >= 1 leaves no domain" % (c1,))
-        if c1 == 0:
-            return defset_of_exponential(c0)
-        return DefSet(Linear(1 - num(c1), -c0))
-    if callable(norm_fn):
-        return DefSet(CallableBoundary(lambda t: t - norm_fn(t)))
-    raise UnsupportedShapeError("cannot interpret norm description %r" % (norm_fn,))
-
-
-def defset_of_product(alphas) -> DefSet:
-    """{s < prod(1 - alpha_i) t}, where an infinite composition of
-    exponentials with ||u_i|| <= alpha_i t converges."""
-    prod = Fraction(1)
-    for a in alphas:
-        if not 0 <= a < 1:
-            raise DegenerateSetError("factors need alpha in [0, 1), got %s" % (a,))
-        prod *= 1 - num(a)
-    return DefSet(Linear(prod, 0))
 
 
 def tangent_slope_at_origin(A: DefSet) -> float:

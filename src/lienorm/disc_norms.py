@@ -3,17 +3,14 @@
 The sup norm of a truncated series on the closed disc of radius t is
 bounded above by the majorant norm sum(|a_n| t^n); the bound is an
 equality when all coefficients are nonnegative, so majorant_norm(f, x)
-is also the Borel bound f(x) of a majorant series f at x > 0.  All
-comparisons that certify inequalities (Cauchy-Nagumo, order filtration,
-weight sums) are carried out in exact rational arithmetic when the
-inputs allow it.  A float reported for an exact value is the least float
-at or above it; the float sum of an order-filtration norm of fractional
-index carries a directed-rounding slack factor 1 + 2**-40 instead.
-Either way it stays a certified upper bound.
+is also the Borel bound f(x) of a majorant series f at x > 0.  The
+Cauchy-Nagumo comparison is decided in exact rational arithmetic, and a
+float reported for an exact value is the least float at or above it, so
+it stays a certified upper bound.  The weight-sum condition
+(lambda_p_check) is evaluated in floats.
 
-Local-operator bounds compose (compose_local_bounds), and an infinite
-composition of exponentials is bounded by 1/(1 - sum of normalized
-norms) (compose_exponentials_bound).
+Local-operator bounds compose (compose_local_bounds), and calibrate
+turns a bound into a norm that is submultiplicative under composition.
 """
 
 from __future__ import annotations
@@ -25,17 +22,10 @@ from typing import Sequence
 
 from .power_series import TruncSeries
 
-_SLACK = 1 + 2.0**-40
-
 
 class DivergenceError(ValueError):
     """A bound diverges: the evaluation point is outside the radius of
-    convergence, a sum of normalized norms reaches 1, or an
-    order-filtration norm is infinite."""
-
-
-class InconclusiveError(ValueError):
-    """The check cannot certify a verdict (no closed-form tail)."""
+    convergence."""
 
 
 def _exact(x) -> Fraction:
@@ -101,39 +91,6 @@ def nagumo_check(f: TruncSeries, k: int, t, s) -> bool:
     return lhs <= rhs
 
 
-def order_filtration_norm(f: TruncSeries, k, t) -> float:
-    """sup over 0 < s <= t of s^-k |f|_s.
-
-    For a truncated series the majorant is a polynomial with nonnegative
-    coefficients, so s^-k |f|_s is a sum of monomials s^(j-k) with
-    j >= order(f); when order(f) >= k every exponent is >= 0, the sup is
-    attained at s = t and is computed analytically.  Otherwise the sup is
-    infinite and DivergenceError is raised.
-    """
-    kx = _exact(k)
-    if kx < 0:
-        raise ValueError("k must be >= 0")
-    tx = _exact(t)
-    if tx <= 0:
-        raise ValueError("radius must be positive")
-    if not f.is_zero() and Fraction(f.order) < kx:
-        raise DivergenceError(
-            "leading order %s below filtration index %s" % (f.order, k)
-        )
-    if f.is_zero():
-        return 0.0
-    if kx.denominator == 1:
-        # exact path: s^-k |f|_s = |g|_s with g = f / z^k, monotone in s
-        q, _ = f.weierstrass_div_monomial(int(kx))
-        return _upper_float(_majorant_exact(q, tx))
-    tf = float(tx)
-    acc = 0.0
-    for j, c in enumerate(f.coeffs):
-        if c:
-            acc += abs(float(c)) * tf ** (j - float(kx))
-    return acc * _SLACK
-
-
 @dataclass(frozen=True)
 class LocalOpBound:
     """Certified statement |u_st| <= C / (s^k (t-s)^l) for 0 < s < t."""
@@ -154,18 +111,6 @@ def compose_local_bounds(b1: LocalOpBound, b2: LocalOpBound) -> LocalOpBound:
     lf, l1, l2 = float(l), float(b1.l), float(b2.l)
     factor = lf**lf / (l1**l1 * l2**l2)
     return LocalOpBound(factor * b1.C * b2.C, b1.k + b2.k, l)
-
-
-def compose_exponentials_bound(nus) -> float:
-    """Operator-norm bound 1/(1 - sum(nu_i)) for an infinite composition
-    of exponentials with normalized norms nu_i = ||u_i||/(t_i - t_{i+1})."""
-    nus = [_exact(nu) for nu in nus]
-    if any(nu < 0 for nu in nus):
-        raise ValueError("normalized norms must be >= 0")
-    sigma = sum(nus)
-    if sigma >= 1:
-        raise DivergenceError("sum of normalized norms is %g >= 1" % sigma)
-    return _upper_float(1 / (1 - sigma))
 
 
 def calibrate(b: LocalOpBound) -> float:
@@ -202,40 +147,25 @@ def geometric_borel_bound(x) -> float:
 class WeightSequence:
     """A family of increasing weight functions lambda_n on (0, 1].
 
-    kind 'geometric' is lambda_n(s) = s**(a*n); 'hilbert' (dimension 1)
-    is sqrt(pi/(n+1)) s**(n+1); 'constant' is lambda_n = 1.  Each kind is
-    a formula in n, so lambda_p_check sums over all n, never a table.
+    kind 'geometric' is lambda_n(s) = s**n; 'constant' is lambda_n = 1.
+    Each kind is a formula in n, so lambda_p_check sums over all n, never
+    a table.
     """
 
-    def __init__(self, kind: str, a: Fraction | int = 1):
-        if kind not in ("geometric", "hilbert", "constant"):
+    def __init__(self, kind: str):
+        if kind not in ("geometric", "constant"):
             raise ValueError("unknown weight kind %r" % kind)
         self.kind = kind
-        self.a = Fraction(a)
 
     def weight(self, n: int, s: float) -> float:
         if self.kind == "geometric":
-            return float(s) ** (float(self.a) * n)
-        if self.kind == "hilbert":
-            return hilbert_weight(n, s)
+            return float(s) ** n
         return 1.0
 
 
 def _ratio_sum(lam: WeightSequence, mu: WeightSequence, p: float, s, t):
-    """sum over i of (mu_i(s)/lambda_i(t))^p, exact when the term ratio
-    is genuinely geometric; raises InconclusiveError otherwise.
-
-    geometric and constant weights are log-linear in the index and mix
-    freely; hilbert weights carry an algebraic prefactor that only
-    cancels against another hilbert sequence, so other pairings have no
-    sound closed form here.
-    """
-    log_linear = ("geometric", "constant")
-    both_hilbert = lam.kind == "hilbert" and mu.kind == "hilbert"
-    if not both_hilbert and not (lam.kind in log_linear and mu.kind in log_linear):
-        raise InconclusiveError(
-            "no closed-form tail for weight kinds %r, %r" % (lam.kind, mu.kind)
-        )
+    """sum over i of (mu_i(s)/lambda_i(t))^p in closed form: every kind
+    is log-linear in the index, so the terms form a geometric series."""
     w0 = (mu.weight(0, s) / lam.weight(0, t)) ** p
     w1 = (mu.weight(1, s) / lam.weight(1, t)) ** p
     r = w1 / w0
@@ -251,9 +181,7 @@ def lambda_p_check(lam: WeightSequence, mu: WeightSequence, p: float,
     every grid point (s, t) with 0 < s < t.
 
     Every verdict compares the whole infinite sum, taken in closed form
-    by _ratio_sum.  A pairing without a closed form raises
-    InconclusiveError: a partial sum only bounds the sum from below, so
-    it cannot certify True.
+    by _ratio_sum.
     """
     if p < 1:
         raise ValueError("need p >= 1")
@@ -263,22 +191,6 @@ def lambda_p_check(lam: WeightSequence, mu: WeightSequence, p: float,
         if _ratio_sum(lam, mu, p, s, t) > C / (t - s) ** alpha:
             return False
     return True
-
-
-def hilbert_weight(index: Sequence[int] | int, s: float, n: int = 1) -> float:
-    """sqrt(prod_k pi/(i_k+1)) * s^(n+|I|) for a multi-index I in dim n."""
-    if isinstance(index, int):
-        index = (index,)
-    if len(index) != n:
-        raise ValueError("multi-index length %d != dimension %d" % (len(index), n))
-    if s <= 0:
-        raise ValueError("need s > 0")
-    c = 1.0
-    for ik in index:
-        if ik < 0:
-            raise ValueError("multi-index entries must be >= 0")
-        c *= math.pi / (ik + 1)
-    return math.sqrt(c) * float(s) ** (n + sum(index))
 
 
 def division_bound(d: int, t) -> float:

@@ -231,11 +231,6 @@ class TruncSeries:
         return _reduced([k * a[k] for k in range(1, len(a))] or [0], self._den,
                         max(self.trunc_order - 1, 0))
 
-    def hadamard(self, other: "TruncSeries") -> "TruncSeries":
-        n = min(self.trunc_order, other.trunc_order)
-        return _reduced([a * b for a, b in zip(self._num[: n + 1], other._num)],
-                        self._den * other._den, n)
-
     def compose(self, inner: "TruncSeries") -> "TruncSeries":
         """self(inner), requiring inner(0) = 0.
 

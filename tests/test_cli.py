@@ -19,6 +19,15 @@ def run_capture(capsys, *argv):
     return code, out.out, out.err
 
 
+def _no_constant(name):
+    raise ValueError("%s is not JSON" % name)
+
+
+def strict_json(text):
+    """json.loads that rejects the Infinity, -Infinity and NaN extensions."""
+    return json.loads(text, parse_constant=_no_constant)
+
+
 class TestMorseTrace:
     def test_f4_coefficient_in_json(self, capsys):
         code, out, _ = run_capture(
@@ -446,6 +455,15 @@ class TestExitCodes:
          "T0 has no float value: mu^(n-1) rounds to 0.0 in floats"),
         # T0 is positive in exact terms, but its float is 0.0
         (["threshold", "--lambda", "1e-300"], "T0 rounds to 0.0 in floats"),
+        # a margin that is no finite float, which JSON cannot carry
+        (["certify", "--t0", "0.004", "--mu", "1e-160", "--lambda", "1e-161"],
+         "conditions.i.margin is inf, which JSON cannot carry"),
+        (["certify", "--t0", "1/3", "--lambda", "1e-160", "--beta", "1e308"],
+         "conditions.i.margin is -inf, which JSON cannot carry"),
+        (["certify", "--t0", "7", "--mu", "1e-160", "--r", "2/3"],
+         "conditions.i.margin is inf, which JSON cannot carry"),
+        (["certify", "--t0", "1", "--mu", "1e-160", "--r", "1e-160", "--steps", "30"],
+         "conditions.ii.margin is -inf, which JSON cannot carry"),
     ], ids=["contains-without-t", "convolve-without-other", "plot-grid-resolution-1",
             "exponent-above-order", "borel-bound-above-float-range",
             "idempotent-grid-over-budget", "lambda-p-grid-over-budget",
@@ -453,7 +471,9 @@ class TestExitCodes:
             "certify-subnormal-t0", "certify-R-overflow", "certify-R-overflow-edge",
             "certify-C-overflow", "certify-t0-square-overflow",
             "certify-margin-scale-underflow", "threshold-mu-underflow",
-            "threshold-T0-underflow"])
+            "threshold-T0-underflow", "certify-infinite-margin",
+            "certify-x0-overflow", "certify-infinite-margin-large-t0",
+            "certify-infinite-margin-tiny-r"])
     def test_missing_or_inconsistent_argument_is_exit_two(self, capsys, argv, message):
         code, out, err = run_capture(capsys, *argv)
         assert (code, out) == (2, "")
@@ -620,6 +640,8 @@ GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
 def test_golden_bytes(capsys, case):
     code, out, err = run_capture(capsys, *case["argv"])
     assert (code, out, err) == (case["exit_code"], case["stdout"], case["stderr"])
+    if out and "csv" not in case["argv"]:
+        strict_json(out)
 
 
 def _readme_commands():
@@ -645,4 +667,4 @@ def test_readme_example(capsys, argv):
         header, *rows = csv.reader(io.StringIO(out))
         assert rows and all(len(row) == len(header) for row in rows)
     else:
-        json.loads(out)
+        strict_json(out)

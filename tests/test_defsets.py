@@ -10,15 +10,12 @@ from lienorm.defsets import (
     CallableBoundary,
     Compose,
     DefSet,
-    DegenerateSetError,
     Linear,
     Min,
     Power,
     UnsupportedShapeError,
     boundary_from_dict,
     convolve,
-    defset_of_exponential,
-    defset_of_product,
     is_idempotent_on_grid,
     tangent_slope_at_origin,
 )
@@ -40,7 +37,7 @@ class TestContains:
         assert not A.contains(0.25, 0.55)
 
     def test_translation_set(self):
-        A = defset_of_exponential(0.3)  # composition with z -> z + 0.3
+        A = DefSet(Linear(1, -0.3))  # composition with z -> z + 0.3
         assert not A.contains(1, 0.8)
         assert A.contains(1, 0.65)
 
@@ -130,63 +127,11 @@ class TestIdempotents:
         assert is_idempotent_on_grid(half, pts)
 
 
-class TestExponentialSets:
-    def test_translation_norm(self):
-        lam = 0.1
-        A = defset_of_exponential(math.e * lam)
-        assert A.boundary == Linear(1, -math.e * lam)
-        assert A.contains(0.9, 0.5)
-        assert not A.contains(0.9, 0.7)
-
-    def test_linear_slope_norm(self):
-        A = defset_of_exponential((0, F(1, 4)))
-        assert A.boundary == Linear(F(3, 4), 0)
-
-    def test_zero_norm_gives_diagonal(self):
-        A = defset_of_exponential(0)
-        assert A.boundary == Linear(1, 0)
-
-    def test_callable_norm(self):
-        A = defset_of_exponential(lambda t: 0.5 * t * t)
-        assert A.contains(0.5, 0.3)
-        assert not A.contains(1.0, 0.6)
-
-    def test_slope_one_degenerate(self):
-        with pytest.raises(DegenerateSetError):
-            defset_of_exponential((0, 1))
-
-    @pytest.mark.parametrize("norm, error, message", [
-        (-0.1, ValueError, "operator norm must be >= 0"),
-        ((F(-1, 4), 0), ValueError, "affine norm coefficients must be >= 0"),
-        ((0, -0.5), ValueError, "affine norm coefficients must be >= 0"),
-        ("1/2", UnsupportedShapeError, "cannot interpret norm description"),
-    ], ids=["negative-norm", "negative-c0", "negative-c1", "string"])
-    def test_rejected_norms(self, norm, error, message):
-        with pytest.raises(error, match="^" + message) as exc:
-            defset_of_exponential(norm)
-        assert exc.type is error
-
-
 class TestCone:
     @pytest.mark.parametrize("alpha", [0, F(-1, 2), -1.0], ids=["0", "-1/2", "-1.0"])
     def test_needs_positive_alpha(self, alpha):
         with pytest.raises(ValueError, match="^cone needs alpha > 0$"):
             DefSet.cone(alpha)
-
-
-class TestProductSets:
-    def test_single_factor(self):
-        assert defset_of_product([F(1, 4)]).boundary == Linear(F(3, 4), 0)
-
-    def test_two_halves(self):
-        assert defset_of_product([F(1, 2), F(1, 2)]).boundary == Linear(F(1, 4), 0)
-
-    def test_empty_is_diagonal(self):
-        assert defset_of_product([]).boundary == Linear(F(1), 0)
-
-    def test_factor_at_one_rejected(self):
-        with pytest.raises(DegenerateSetError):
-            defset_of_product([F(1, 2), 1])
 
 
 def downset_hull(A):
@@ -358,31 +303,6 @@ class TestNumberTypes:
         b = DefSet.cone(alpha).boundary
         assert _same(b.a, a)
         assert b.to_dict() == {"op": "linear", "a": wire, "c": 0}
-
-    @pytest.mark.parametrize("c0, c1, a, c", [
-        (F(1, 4), F(1, 2), F(1, 2), F(-1, 4)),
-        (1, F(1, 3), F(2, 3), -1),
-        (0.25, F(1, 2), F(1, 2), -0.25),
-        (F(1, 4), 0.5, 0.5, F(-1, 4)),
-        (F(1, 4), 0, 1, F(-1, 4)),
-    ])
-    def test_affine_exponential(self, c0, c1, a, c):
-        b = defset_of_exponential((c0, c1)).boundary
-        assert _same(b.a, a) and _same(b.c, c)
-
-    @pytest.mark.parametrize("alphas, a, wire", [
-        ([F(1, 2), F(1, 3)], F(1, 3), "1/3"),
-        ([0, F(1, 2)], F(1, 2), "1/2"),
-        ([0], F(1), "1/1"),
-        ([], F(1), "1/1"),
-        ([F(1, 2), 0.5], 0.25, 0.25),
-        ([0.5, F(1, 2)], 0.25, 0.25),
-        ([0.25, 0.5], 0.375, 0.375),
-    ])
-    def test_product(self, alphas, a, wire):
-        b = defset_of_product(alphas).boundary
-        assert _same(b.a, a)
-        assert b.to_dict()["a"] == wire
 
     @pytest.mark.parametrize("outer, inner, gamma, k, wire_k", [
         ((2, 2), (3, 3), 18, F(6), "6/1"),

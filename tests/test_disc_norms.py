@@ -9,21 +9,17 @@ from hypothesis import strategies as st
 
 from lienorm.disc_norms import (
     DivergenceError,
-    InconclusiveError,
     LocalOpBound,
     WeightSequence,
     calibrate,
-    compose_exponentials_bound,
     compose_local_bounds,
     derivative_bound,
     division_bound,
     division_by_z_bound,
     geometric_borel_bound,
-    hilbert_weight,
     lambda_p_check,
     majorant_norm,
     nagumo_check,
-    order_filtration_norm,
 )
 from lienorm.power_series import TruncSeries
 
@@ -83,43 +79,6 @@ class TestNagumo:
         assert nagumo_check(f, k, 1, F(snum, 10))
 
 
-class TestOrderFiltration:
-    def test_cubic_past_index_two(self):
-        # sup of s^(3-2) on (0, 2] is at s = 2
-        assert order_filtration_norm(series([0, 0, 0, 1]), 2, 2) == pytest.approx(2)
-
-    def test_monomial_at_own_order(self):
-        assert order_filtration_norm(series([0, 0, 1]), 2, F(7, 3)) == pytest.approx(1)
-
-    def test_factored_part(self):
-        f = series([0, 0, 1, 1])  # z^2 (1 + z)
-        assert order_filtration_norm(f, 2, 1) == pytest.approx(2)
-
-    def test_infinite_when_order_low(self):
-        with pytest.raises(DivergenceError, match="below filtration index"):
-            order_filtration_norm(series([0, 1]), 2, 1)
-
-    def test_zero_series(self):
-        assert order_filtration_norm(TruncSeries.zero(3), 2, 1) == 0.0
-
-    def test_fractional_index(self):
-        got = order_filtration_norm(series([0, 0, 1]), F(3, 2), F(1, 4))
-        assert got == pytest.approx(0.25 ** 0.5, rel=1e-9)
-
-    def test_inclusion_rescaling(self):
-        # a ball of radius R in the (k+eps)-part sits in the unit k-ball
-        # once restricted to tau = R^(-1/eps)
-        rng = random.Random(5)
-        for _ in range(25):
-            k, eps, R = 1, 0.5, rng.uniform(0.2, 30.0)
-            tau = R ** (-1 / eps)
-            f = TruncSeries([F(0), F(0), F(rng.randint(1, 9)),
-                             F(rng.randint(0, 9)), F(rng.randint(0, 9))])
-            norm_high = order_filtration_norm(f, k + eps, tau)
-            f = f.scale(F(99, 100) * F.from_float(R / norm_high).limit_denominator(10**12))
-            assert order_filtration_norm(f, k, tau) < 1
-
-
 class TestLocalBounds:
     def test_compose_two_first_order(self):
         got = compose_local_bounds(LocalOpBound(1, 0, 1), LocalOpBound(1, 0, 1))
@@ -164,15 +123,10 @@ class TestLocalBounds:
             assert acc.l == n
             assert acc.C <= n**n * 0.7**n * (1 + 1e-12)
 
-    def test_derivative_maps_down_the_filtration(self):
-        # (0,1)-local derivative sends order-l elements to order l-1
-        f = TruncSeries.monomial(4, 6, F(3))
-        assert math.isfinite(order_filtration_norm(f.derivative(), 3, 1))
-        assert derivative_bound(1) == LocalOpBound(1, 0, 1)
-
     def test_named_constructors(self):
         assert division_by_z_bound() == LocalOpBound(1, 1, 0)
         assert division_by_z_bound(zero_constant=False).C == 2
+        assert derivative_bound(1) == LocalOpBound(1, 0, 1)
 
     @given(st.floats(0.01, 5), st.floats(0.01, 5),
            st.sampled_from([0, 1, 2, 3]), st.sampled_from([0, 1, 2, 3]),
@@ -218,20 +172,6 @@ class TestReportedFloats:
             xf = rng.random() * 0.999
             assert _is_least_float_above(geometric_borel_bound(xf), 1 / (1 - F(xf))), xf
 
-    def test_compose_exponentials(self):
-        rng = random.Random(2)
-        for _ in range(300):
-            nus = [rng.random() * 0.2 for _ in range(4)]
-            exact = 1 / (1 - sum(map(F, nus)))
-            assert _is_least_float_above(compose_exponentials_bound(nus), exact), nus
-
-    def test_divergence_is_decided_exactly(self):
-        # 0.1 + 0.2 + 0.7 is 1.0 in floats, but less than 1 exactly
-        nus = [0.1, 0.2, 0.7]
-        assert sum(nus) == 1.0 and sum(map(F, nus)) < 1
-        assert _is_least_float_above(compose_exponentials_bound(nus),
-                                     1 / (1 - sum(map(F, nus))))
-
     def test_series_bounds(self):
         rng = random.Random(3)
         for _ in range(100):
@@ -254,44 +194,19 @@ class TestWeights:
         lam = WeightSequence("constant")
         assert not lambda_p_check(lam, lam, 1, 1, 1, [(0.3, 0.6)])
 
-    def test_dominated_geometric(self):
-        lam = WeightSequence("geometric")
-        mu = WeightSequence("geometric", a=2)
-        grid = [(s / 8, t / 8) for t in range(2, 9) for s in range(1, t)]
-        assert lambda_p_check(lam, mu, 1, 1, 1, grid)
-
     def test_exact_sum_value(self):
         # closed form: sum (s/t)^(p i) = 1/(1 - (s/t)^p) = t/(t-s) at p=1
         from lienorm.disc_norms import _ratio_sum
         assert _ratio_sum(WeightSequence("geometric"), WeightSequence("geometric"),
                           1, 0.25, 0.5) == pytest.approx(2.0)
 
-    def test_hilbert_pair_passes(self):
-        lam = WeightSequence("hilbert")
-        grid = [(s / 10, t / 10) for t in range(2, 11) for s in range(1, t)]
-        # terms (s/t)^(p(1+i)): sum = (s/t)/(1-s/t) <= 1/(t-s) on (0,1]
-        assert lambda_p_check(lam, lam, 1, 1, 1, grid)
-
-    def test_mixed_hilbert_geometric_inconclusive(self):
-        with pytest.raises(InconclusiveError):
-            lambda_p_check(WeightSequence("hilbert"),
-                           WeightSequence("geometric"), 1, 1, 1, [(0.2, 0.5)])
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown weight kind 'tabulated'"):
             WeightSequence("tabulated")
 
     def test_monotone_on_grid(self):
-        weights = [WeightSequence("hilbert").weight(3, s) for s in (0.1, 0.3, 0.8)]
+        weights = [WeightSequence("geometric").weight(3, s) for s in (0.1, 0.3, 0.8)]
         assert weights == sorted(weights)
-
-    def test_hilbert_weight_values(self):
-        assert hilbert_weight(0, F(1, 2), 1) == pytest.approx(math.sqrt(math.pi) / 2)
-        assert hilbert_weight((1,), 1, 1) == pytest.approx(math.sqrt(math.pi / 2))
-        assert hilbert_weight((0, 0), 0.5, 2) == pytest.approx(math.pi * 0.25)
-
-    def test_hilbert_weight_vanishes_at_zero(self):
-        assert hilbert_weight(2, 1e-9, 1) < 1e-17
 
 
 class TestDivisionBound:
@@ -330,18 +245,12 @@ REJECTED = {
                                TypeError, "expected a real number, got '1/2'"),
     "nagumo-negative-k": (lambda: nagumo_check(series([1, 1]), -1, 1, F(1, 2)),
                           ValueError, "k must be >= 0"),
-    "filtration-negative-k": (lambda: order_filtration_norm(series([0, 1]), -1, 1),
-                              ValueError, "k must be >= 0"),
-    "filtration-zero-radius": (lambda: order_filtration_norm(series([0, 1]), 1, 0),
-                               ValueError, "radius must be positive"),
     "local-bound-negative-C": (lambda: LocalOpBound(-1, 0, 1),
                                ValueError, "C, k, l must all be >= 0"),
     "local-bound-negative-k": (lambda: LocalOpBound(1, -1, 0),
                                ValueError, "C, k, l must all be >= 0"),
     "local-bound-negative-l": (lambda: LocalOpBound(1, 0, -0.5),
                                ValueError, "C, k, l must all be >= 0"),
-    "exponentials-negative-norm": (lambda: compose_exponentials_bound([0.25, -0.1]),
-                                   ValueError, "normalized norms must be >= 0"),
     "geometric-borel-negative-x": (lambda: geometric_borel_bound(F(-1, 2)),
                                    ValueError, "need x >= 0"),
     "geometric-borel-above-float-range": (
@@ -353,14 +262,6 @@ REJECTED = {
     "lambda-p-point-on-diagonal": (lambda: lambda_p_check(GEOMETRIC, GEOMETRIC, 1.0, 1.0,
                                                           1.0, [(0.5, 0.5)]),
                                    ValueError, "grid points need 0 < s < t, got (0.5, 0.5)"),
-    "hilbert-index-length": (lambda: hilbert_weight((1, 2), 0.5),
-                             ValueError, "multi-index length 2 != dimension 1"),
-    "hilbert-zero-radius": (lambda: hilbert_weight(1, 0),
-                            ValueError, "need s > 0"),
-    "hilbert-sequence-zero-radius": (lambda: WeightSequence("hilbert").weight(1, 0),
-                                     ValueError, "need s > 0"),
-    "hilbert-negative-entry": (lambda: hilbert_weight((1, -1), 0.5, n=2),
-                               ValueError, "multi-index entries must be >= 0"),
     "division-negative-degree": (lambda: division_bound(-1, 1),
                                  ValueError, "d must be >= 0"),
     "division-zero-radius": (lambda: division_bound(2, 0),

@@ -6,11 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from lienorm.disc_norms import (
-    DivergenceError,
-    compose_exponentials_bound,
-    majorant_norm,
-)
+from lienorm.disc_norms import majorant_norm
 from lienorm.normalform import (
     Certificate,
     CertificateBreachError,
@@ -346,22 +342,6 @@ class TestCertifiedIteration:
             bound_n = traj[n][2]
             formal = majorant_norm(tr[n].b, F(t_n).limit_denominator(10**15))
             assert formal.value <= bound_n, "step %d" % n
-
-
-class TestCompositionBound:
-    def test_two_factors(self):
-        assert compose_exponentials_bound([0.1, 0.2]) == pytest.approx(10 / 7)
-
-    def test_empty(self):
-        assert compose_exponentials_bound([]) == 1.0
-
-    def test_geometric_tail(self):
-        nus = [2.0 ** (-i - 2) for i in range(40)]
-        assert compose_exponentials_bound(nus) == pytest.approx(2.0)
-
-    def test_divergence(self):
-        with pytest.raises(DivergenceError):
-            compose_exponentials_bound([0.5, 0.5])
 
 
 class TestBorelChainConstant:

@@ -144,13 +144,6 @@ class TestCalculus:
     def test_derivative_drops_truncation(self):
         assert series([1, 2, 3]).derivative().trunc_order == 1
 
-    def test_hadamard_unit(self):
-        f = series([2, -3, 5, 7])
-        assert f.hadamard(TruncSeries([1] * 4)) == f
-
-    def test_hadamard_disjoint_support(self):
-        assert TruncSeries.monomial(2, 4).hadamard(TruncSeries.monomial(3, 4)).is_zero()
-
     def test_weierstrass_split(self):
         q, p = series([1, 2, 3, 4]).weierstrass_div_monomial(2)
         assert q == series([3, 4], 1)
@@ -330,15 +323,13 @@ def test_lie_exp_is_substitution(vtail, f):
     assert whole.truncate(n) == composed.truncate(n)
 
 
-@given(small_series, small_series, small_series)
+@given(small_series)
 @settings(max_examples=40, deadline=None)
-def test_hadamard_laws(f, g, h):
-    assert f.hadamard(g) == g.hadamard(f)
-    assert f.hadamard(g).hadamard(h) == f.hadamard(g.hadamard(h))
+def test_hadamard_laws(f):
     n = f.trunc_order
     # the Euler operator z d/dz is the Hadamard product with (0, 1, 2, ...)
     euler = apply_derivation(Z(n), f)
-    assert euler == f.hadamard(TruncSeries([F(k) for k in range(n + 1)], n))
+    assert euler == TruncSeries([k * c for k, c in enumerate(f.coeffs)], n)
 
 
 @given(small_series, st.integers(min_value=0, max_value=6))
@@ -563,7 +554,6 @@ def test_linear_operations_match_fraction_reference(f, g, c):
     euler = apply_derivation(Z(a[1]), f)  # z d/dz, known at least to z^N
     assert_is(euler.truncate(a[1]), ([k * x for k, x in enumerate(a[0])], a[1]))
     n = min(a[1], b[1])
-    assert_is(f.hadamard(g), ([a[0][k] * b[0][k] for k in range(n + 1)], n))
     assert_is(j_map(f), (a[0][1:] or [F(0)], max(a[1] - 1, 0)))
     assert f.order == next((k for k, x in enumerate(a[0]) if x), math.inf)
     assert (f == g) == (a[0][: n + 1] == b[0][: n + 1])

@@ -1,5 +1,5 @@
 """Every public function of the library serves a command, or is listed
-here with the criterion, item or README feature that keeps it.
+here with the criterion, item or entry point that keeps it.
 
 The golden argvs and README command lines of ``test_cli`` run in process
 through ``cli.run`` under ``sys.setprofile``, which records each code
@@ -26,10 +26,7 @@ CRITERION_10 = "criterion 10: Nagumo, calibrated composition, Borel domination"
 CRITERION_11 = "criterion 11: cones, idempotents, tangent slopes"
 ITEM_8 = "item 8: rapid convergence proved for every n from one exact state"
 ITEM_15 = "item 15, stage 2: the certificate's R built from the operator algebra"
-README_SERIES = "README layout, lienorm.power_series row: Hadamard product"
-README_NORMS = "README layout, lienorm.disc_norms row: %s"
-README_DEFSETS = ("README layout, lienorm.defsets row: sets of exponentials and "
-                  "infinite products")
+ITEM_21 = "item 21, stage 2: the certified factor of monomial division by z^(m-1)"
 
 # each public name that no command reaches, and what keeps it
 UNREACHED = {
@@ -40,7 +37,6 @@ UNREACHED = {
     + " (weierstrass_div_monomial's remainder at degree 0)",
     "power_series.TruncSeries.one": CRITERION_2 + " (binomial_pow)",
     "power_series.TruncSeries.is_zero": CRITERION_2 + " (binomial_pow)",
-    "power_series.TruncSeries.hadamard": README_SERIES,
     "paramopt.radius_oracle_series": "criterion 8: the series oracle within 2% "
     "of the true radius",
     "prisma.iterate": CRITERION_9,
@@ -56,13 +52,7 @@ UNREACHED = {
     "prisma.closed_form_xn_bound": ITEM_8,
     "disc_norms.division_by_z_bound": ITEM_15,
     "disc_norms.derivative_bound": ITEM_15,
-    "disc_norms.order_filtration_norm": README_NORMS % "order-filtration norms",
-    "disc_norms.division_bound": README_NORMS % "division bounds",
-    "disc_norms.compose_exponentials_bound":
-        README_NORMS % "composition-of-exponentials bounds",
-    "disc_norms.hilbert_weight": README_NORMS % "weight sequences",
-    "defsets.defset_of_exponential": README_DEFSETS,
-    "defsets.defset_of_product": README_DEFSETS,
+    "disc_norms.division_bound": ITEM_21,
     "cli.main": "the console script lienorm = lienorm.cli:main; the tests call cli.run",
 }
 
