@@ -9,7 +9,9 @@ unless --stamp adds run metadata outside the data body.  Each subcommand
 imports the library modules it uses when it runs, so a start loads no
 others.  Each definition-set action and each norm check is a command of
 its own ("norms borel"), and every command takes only the options it
-reads: any other option exits 2 with usage.
+reads: any other option exits 2 with usage.  Each count option declares
+its range on the option (_count), so a count out of range exits 2 with
+usage before anything is built.
 
 Exit codes: 0 success, 1 failed certificate or divergent bound (the
 document is still emitted with failure detail), 2 invalid input, such
@@ -47,6 +49,21 @@ def _float_fraction(text: str) -> Fraction:
     if value and not as_float:
         raise argparse.ArgumentTypeError("below the float range: %r" % text)
     return value
+
+
+def _count(lo: int, hi: int | None = None):
+    """An argparse type: an int from lo to hi (no cap when hi is None).
+    The returned callable carries lo and hi."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError("%d is below %d" % (value, lo))
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError("%d is over the budget of %d" % (value, hi))
+        return value
+    # argparse names the type in its message "invalid int value: 'x'"
+    count.__name__, count.lo, count.hi = "int", lo, hi
+    return count
 
 
 def _fraction_list(text: str) -> list[Fraction]:
@@ -114,27 +131,18 @@ def _command(sub, name, func, csv_ok=False, **kw):
     p.set_defaults(func=func)
 
 
-# Size budget of the formal trace: each step doubles the truncation order
-# 2^(steps+1) + 4, and the exact work grows faster than the order.
-MAX_STEPS = 7
-# Size budget of the side n of a grid: all n^2 points are built at once.
-MAX_GRID = 500
+# Size budgets of the counts, which each count option declares through _count
+MAX_STEPS = 7  # each formal step doubles the truncation order 2^(steps+1) + 4
+MAX_ORDER = 260  # the default order at MAX_STEPS
+MAX_GRID = 500  # the side n of a grid: all n^2 points are built at once
+MAX_CHAIN_STEPS = 2000  # certify and prisma print every step of their chains
+MAX_POLE = 1000  # prisma computes s^k and (t-s)^l before its first step
 
 
 def _cmd_normalize(args):
     from . import normalform
     from .power_series import TruncSeries
 
-    if args.steps < 0:
-        raise ValueError("--steps must be >= 0")
-    max_order = normalform.default_trunc_order(MAX_STEPS)
-    if args.steps > MAX_STEPS:
-        raise ValueError("--steps %d is over the budget of %d (the truncation "
-                         "order 2^(steps+1)+4 doubles with each step)"
-                         % (args.steps, MAX_STEPS))
-    if args.order is not None and args.order > max_order:
-        raise ValueError("--order %d is over the budget of %d"
-                         % (args.order, max_order))
     order = args.order if args.order is not None else normalform.default_trunc_order(args.steps)
     if args.n > order:
         raise ValueError("perturbation exponent %d exceeds order %d" % (args.n, order))
@@ -201,8 +209,6 @@ def _cmd_qtable(args):
 def _cmd_prisma(args):
     from . import prisma
 
-    if args.steps < 0:
-        raise ValueError("--steps must be >= 0")
     state = prisma.PrismaState(args.t, args.s, args.x, args.alpha)
     cfg = prisma.IterConfig(R=args.R, k=args.k, l=args.l, lam=args.lam)
     # x_n has about 2^n times x_0's digits: stop at the first step str() refuses
@@ -248,12 +254,7 @@ def _cmd_convolve(args):
 def _cmd_idempotent(args):
     A = _parse_boundary(args.set)
     n = args.grid
-    if n < 1:
-        raise ValueError("--grid must be >= 1")
-    if n > MAX_GRID:
-        raise ValueError("--grid %d is over the budget of %d" % (n, MAX_GRID))
-    pts = [((i + 1) / n, (j + 1) / n)
-           for i in range(n) for j in range(n)]
+    pts = [((i + 1) / n, (j + 1) / n) for i in range(n) for j in range(n)]
     return {"idempotent_on_grid": A.is_idempotent_on_grid(pts), "grid": n}, 0
 
 
@@ -282,10 +283,6 @@ def _cmd_lambda_p(args):
 
     # geometric weights over a uniform grid
     n = args.grid
-    if n < 1:
-        raise ValueError("--grid must be >= 1")
-    if n > MAX_GRID:
-        raise ValueError("--grid %d is over the budget of %d" % (n, MAX_GRID))
     w = disc_norms.WeightSequence("geometric")
     grid = [((i + 1) / (n + 1) * (j + 2) / (n + 2), (j + 2) / (n + 2))
             for i in range(n) for j in range(n)]
@@ -296,11 +293,6 @@ def _cmd_lambda_p(args):
 def _cmd_plot_grid(args):
     from . import paramopt
 
-    if args.resolution < 2:
-        raise ValueError("resolution must be >= 2")
-    if args.resolution > MAX_GRID:
-        raise ValueError("--resolution %d is over the budget of %d"
-                         % (args.resolution, MAX_GRID))
     f = paramopt.F_basic if args.objective == "basic" else paramopt.equalized_objective
     table = [["lambda", "mu", "value"]]
     values = []
@@ -326,16 +318,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     with _command(sub, "morse-trace", _cmd_normalize,
                   help="exact trace for z^2/2 + z^3") as p:
-        p.add_argument("--steps", type=int, default=4)
-        p.add_argument("--order", type=int, default=None,
+        p.add_argument("--steps", type=_count(0, MAX_STEPS), default=4)
+        p.add_argument("--order", type=_count(0, MAX_ORDER), default=None,
                        help="truncation order (default 2^(steps+1)+4)")
         p.set_defaults(n=3, beta=Fraction(1))
     with _command(sub, "normalize", _cmd_normalize,
                   help="exact trace for z^2/2 + beta z^n") as p:
         p.add_argument("--n", type=int, default=3)
         p.add_argument("--beta", type=_fraction, default=Fraction(1))
-        p.add_argument("--steps", type=int, default=3)
-        p.add_argument("--order", type=int, default=None)
+        p.add_argument("--steps", type=_count(0, MAX_STEPS), default=3)
+        p.add_argument("--order", type=_count(0, MAX_ORDER), default=None)
     with _command(sub, "certify", _cmd_certify,
                   help="evaluate the convergence certificate") as p:
         p.add_argument("--t0", type=_float_fraction, required=True)
@@ -344,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--r", type=_float_fraction, default=Fraction(1, 2))
         p.add_argument("--beta", type=_float_fraction, default=Fraction(1))
         p.add_argument("--n", type=int, default=3)
-        p.add_argument("--steps", type=int, default=0,
+        p.add_argument("--steps", type=_count(0, MAX_CHAIN_STEPS), default=0,
                        help="also emit the certified bound trajectory")
     with _command(sub, "threshold", _cmd_threshold, help="largest admissible t0") as p:
         p.add_argument("--lambda", dest="lam", type=_float_fraction, default=Fraction(1, 4))
@@ -364,10 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--x", type=_fraction, required=True)
         p.add_argument("--alpha", type=_fraction, default=None)
         p.add_argument("--R", type=_fraction, default=Fraction(1))
-        p.add_argument("--k", type=int, default=0)
-        p.add_argument("--l", type=int, default=1)
+        p.add_argument("--k", type=_count(0, MAX_POLE), default=0)
+        p.add_argument("--l", type=_count(0, MAX_POLE), default=1)
         p.add_argument("--lambda", dest="lam", type=_fraction, default=Fraction(1, 2))
-        p.add_argument("--steps", type=int, default=8)
+        p.add_argument("--steps", type=_count(0, MAX_CHAIN_STEPS), default=8)
 
     actions = sub.add_parser("defset", help="definition-set algebra").add_subparsers(
         dest="action", required=True)
@@ -381,24 +373,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--other", required=True, help=boundary)
     with _command(actions, "idempotent", _cmd_idempotent, help="A * A = A on a grid") as p:
         p.add_argument("--set", required=True, help=boundary)
-        p.add_argument("--grid", type=int, default=32)
+        p.add_argument("--grid", type=_count(1, MAX_GRID), default=32)
     checks = sub.add_parser("norms", help="norm inequality checks").add_subparsers(
         dest="check", required=True)
     with _command(checks, "nagumo", _cmd_nagumo, help="Cauchy-Nagumo estimate") as p:
         p.add_argument("--coeffs", type=_fraction_list, default="0,0,1",
                        help="comma-separated exact coefficients")
-        p.add_argument("--k", type=int, default=1)
+        p.add_argument("--k", type=_count(0), default=1)
         p.add_argument("--t", type=_fraction, default=Fraction(1))
         p.add_argument("--s", type=_fraction, default=Fraction(1, 2))
     with _command(checks, "borel", _cmd_borel, help="geometric Borel bound 1/(1-x)") as p:
         p.add_argument("--x", type=_float_fraction, default=Fraction(1, 2))
     with _command(checks, "lambda-p", _cmd_lambda_p, help="lambda-p on a grid") as p:
-        p.add_argument("--grid", type=int, default=10)
+        p.add_argument("--grid", type=_count(1, MAX_GRID), default=10)
 
     with _command(sub, "plot-grid", _cmd_plot_grid, csv_ok=True,
                   help="objective values for contouring") as p:
         p.add_argument("--objective", choices=["basic", "equalized"], default="basic")
-        p.add_argument("--resolution", type=int, default=50)
+        p.add_argument("--resolution", type=_count(2, MAX_GRID), default=50)
 
     return parser
 

@@ -85,6 +85,8 @@ def nagumo_check(f: TruncSeries, k: int, t, s) -> bool:
         raise ValueError("k must be >= 0")
     g = f
     for _ in range(k):
+        if g.is_zero():  # so is every further derivative: 0 <= rhs
+            return True
         g = g.derivative()
     lhs = _majorant_exact(g, s)
     rhs = Fraction(math.factorial(k)) / (t - s) ** k * _majorant_exact(f, t)

@@ -130,6 +130,8 @@ class TruncSeries:
 
     @classmethod
     def monomial(cls, k: int, trunc_order: int, c: Scalar = 1) -> "TruncSeries":
+        if k < 0:
+            raise ValueError("monomial degree must be >= 0")
         if k > trunc_order:
             raise InsufficientTruncationError(
                 "monomial degree %d exceeds trunc_order %d" % (k, trunc_order)

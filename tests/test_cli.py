@@ -1,5 +1,6 @@
 import argparse
 import csv
+import importlib
 import io
 import json
 import math
@@ -397,7 +398,13 @@ class TestExitCodes:
         monkeypatch.setattr(normalform, "quadratic_normal_form", no_series)
         code, out, err = run_capture(capsys, command, flag, value)
         assert (code, out) == (2, "")
-        assert err.startswith("error: %s %s is over the budget of " % (flag, value))
+        cap = {"--steps": cli.MAX_STEPS, "--order": cli.MAX_ORDER}[flag]
+        assert err.startswith("usage: lienorm %s " % command)
+        assert err.endswith("\nlienorm %s: error: argument %s: %s is over the budget of %d\n"
+                            % (command, flag, value, cap))
+
+    def test_order_budget_is_the_default_order_at_the_step_budget(self):
+        assert cli.MAX_ORDER == normalform.default_trunc_order(cli.MAX_STEPS)
 
     # a grid with no point and a negative step count check nothing
     @pytest.mark.parametrize("argv", [
@@ -413,7 +420,41 @@ class TestExitCodes:
     def test_empty_check_is_exit_two(self, capsys, argv):
         code, out, err = run_capture(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err.startswith("error: %s must be >= " % argv[-2])
+        command = " ".join(argv[:2] if argv[0] in ("defset", "norms") else argv[:1])
+        flag, value = argv[-2:]
+        assert err.startswith("usage: lienorm %s " % command)
+        assert err.endswith("\nlienorm %s: error: argument %s: %s is below %d\n"
+                            % (command, flag, value, {"--grid": 1, "--steps": 0}[flag]))
+
+    # only values just past each cap, monkeypatched so that nothing is
+    # built: a run at the --steps cap prints thousands of steps
+    @pytest.mark.parametrize("argv, builder, message", [
+        (["certify", "--t0", "1/250", "--steps", "2001"], "normalform.certify",
+         "lienorm certify: error: argument --steps: 2001 is over the budget of 2000"),
+        # a failing certificate ignored the negative count and exited 1
+        (["certify", "--t0", "1/200", "--steps", "-1"], "normalform.certify",
+         "lienorm certify: error: argument --steps: -1 is below 0"),
+        (["prisma", "--t", "1", "--s", "3/4", "--x", "0", "--steps", "2001"],
+         "prisma.PrismaState",
+         "lienorm prisma: error: argument --steps: 2001 is over the budget of 2000"),
+        (["prisma", "--t", "1", "--s", "3/4", "--x", "1/16", "--k", "1001"],
+         "prisma.IterConfig", "lienorm prisma: error: argument --k: 1001 is over the budget of 1000"),
+        (["prisma", "--t", "1", "--s", "3/4", "--x", "1/16", "--l", "1001"],
+         "prisma.IterConfig", "lienorm prisma: error: argument --l: 1001 is over the budget of 1000"),
+        (["norms", "nagumo", "--k", "-1"], "disc_norms.nagumo_check",
+         "lienorm norms nagumo: error: argument --k: -1 is below 0"),
+    ], ids=["certify-steps-over-budget", "certify-negative-steps",
+            "prisma-steps-over-budget", "prisma-k-over-budget", "prisma-l-over-budget",
+            "nagumo-negative-k"])
+    def test_count_out_of_range_builds_nothing(self, capsys, monkeypatch, argv, builder,
+                                               message):
+        def no_build(*args, **kw):
+            raise AssertionError("%s built" % builder)
+        module, name = builder.split(".")
+        monkeypatch.setattr(importlib.import_module("lienorm." + module), name, no_build)
+        code, out, err = run_capture(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: lienorm ") and err.endswith("\n%s\n" % message)
 
     @pytest.mark.parametrize("argv, message", [
         # argparse names a missing option after its usage line
@@ -421,17 +462,22 @@ class TestExitCodes:
          "lienorm defset contains: error: the following arguments are required: --t"),
         (["defset", "convolve", "--set", "diagonal"],
          "lienorm defset convolve: error: the following arguments are required: --other"),
-        (["plot-grid", "--resolution", "1"], "resolution must be >= 2"),
+        (["plot-grid", "--resolution", "1"],
+         "lienorm plot-grid: error: argument --resolution: 1 is below 2"),
         (["normalize", "--n", "9", "--order", "8"],
          "perturbation exponent 9 exceeds order 8"),
+        # a negative exponent raised IndexError
+        (["normalize", "--n", "-1"], "monomial degree must be >= 0"),
         # x < 1, but 1/(1 - x) = 10^400
         (["norms", "borel", "--x", "0." + "9" * 400],
          "the bound 1/(1-x) is past the float range"),
         # only values just past the cap: a grid at the cap runs for seconds
         (["defset", "idempotent", "--set", "diagonal", "--grid", "501"],
-         "--grid 501 is over the budget of 500"),
-        (["norms", "lambda-p", "--grid", "501"], "--grid 501 is over the budget of 500"),
-        (["plot-grid", "--resolution", "501"], "--resolution 501 is over the budget of 500"),
+         "lienorm defset idempotent: error: argument --grid: 501 is over the budget of 500"),
+        (["norms", "lambda-p", "--grid", "501"],
+         "lienorm norms lambda-p: error: argument --grid: 501 is over the budget of 500"),
+        (["plot-grid", "--resolution", "501"],
+         "lienorm plot-grid: error: argument --resolution: 501 is over the budget of 500"),
         # t0 is a float, but R = 2(1-r)^2/t0^2 is not: t0**2 underflows to
         # 0.0 (1e-200, 1e-320) or R overflows (1e-160, 5e-155)
         (["certify", "--t0", "1e-200"],
@@ -465,7 +511,8 @@ class TestExitCodes:
         (["certify", "--t0", "1", "--mu", "1e-160", "--r", "1e-160", "--steps", "30"],
          "conditions.ii.margin is -inf, which JSON cannot carry"),
     ], ids=["contains-without-t", "convolve-without-other", "plot-grid-resolution-1",
-            "exponent-above-order", "borel-bound-above-float-range",
+            "exponent-above-order", "normalize-negative-exponent",
+            "borel-bound-above-float-range",
             "idempotent-grid-over-budget", "lambda-p-grid-over-budget",
             "plot-grid-resolution-over-budget", "certify-t0-square-underflow",
             "certify-subnormal-t0", "certify-R-overflow", "certify-R-overflow-edge",

@@ -70,6 +70,20 @@ class TestNagumo:
         with pytest.raises(ValueError):
             nagumo_check(series([1]), 1, F(1, 2), F(1, 2))
 
+    def test_stops_at_the_zero_derivative(self, monkeypatch):
+        # the third derivative of z^2 is 0, so lhs = 0 <= rhs: neither the
+        # further derivatives nor k! = (10^12)! are computed
+        derivative, calls = TruncSeries.derivative, []
+
+        def counted(self):
+            calls.append(self)
+            assert len(calls) <= 3, "derivative of the zero series taken"
+            return derivative(self)
+
+        monkeypatch.setattr(TruncSeries, "derivative", counted)
+        assert nagumo_check(series([0, 0, 1]), 10**12, 1, F(1, 2))
+        assert len(calls) == 3
+
     @given(st.lists(rationals, min_size=1, max_size=21),
            st.integers(min_value=0, max_value=5),
            st.integers(min_value=1, max_value=9))

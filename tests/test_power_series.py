@@ -49,6 +49,10 @@ class TestArithmetic:
     def test_mul_monomials(self):
         assert Z(4) * Z(4) == TruncSeries.monomial(2, 4)
 
+    def test_negative_monomial_degree(self):
+        with pytest.raises(ValueError, match="^monomial degree must be >= 0$"):
+            TruncSeries.monomial(-1, 4)
+
     def test_mul_one_identity(self):
         f = series([5, -1, 7])
         assert f * TruncSeries.one(2) == f

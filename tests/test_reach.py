@@ -36,7 +36,6 @@ UNREACHED = {
     "power_series.TruncSeries.zero": CRITERION_2
     + " (weierstrass_div_monomial's remainder at degree 0)",
     "power_series.TruncSeries.one": CRITERION_2 + " (binomial_pow)",
-    "power_series.TruncSeries.is_zero": CRITERION_2 + " (binomial_pow)",
     "paramopt.radius_oracle_series": "criterion 8: the series oracle within 2% "
     "of the true radius",
     "prisma.iterate": CRITERION_9,
