@@ -16,11 +16,9 @@ Layers, bottom up:
   certified-vs-true radius tables.
 
 Loading is lazy (PEP 562): ``import lienorm`` imports none of these
-modules.  The first access to a public name, such as ``lienorm.lie_exp``,
-or to a module, such as ``lienorm.prisma``, imports the module that
-defines it.  A public name is looked up in its module on every access
-and never stored here, so a patch of ``lienorm.power_series.lie_exp``
-shows through ``lienorm.lie_exp`` and goes away with its undo.
+modules, and the first access to one, such as ``lienorm.prisma``,
+imports it.  Library names are imported from their modules, as in
+``from lienorm.power_series import TruncSeries``.
 
 The two number rules that every layer shares live here, in the one
 module each layer loads.  :func:`num` is the scalar rule: callers apply
@@ -34,34 +32,9 @@ from fractions import Fraction
 
 __version__ = "0.1.0"
 
-# each public name and the module that defines it
-_SOURCE = {
-    **dict.fromkeys([
-        "TruncSeries", "apply_derivation", "j_map", "lie_exp",
-        "CompositionDomainError", "NotInvertibleError",
-        "NonTerminatingExponentialError", "InsufficientTruncationError",
-    ], "power_series"),
-    **dict.fromkeys([
-        "MajorantValue", "LocalOpBound", "WeightSequence", "majorant_norm",
-        "nagumo_check", "compose_local_bounds", "calibrate",
-    ], "disc_norms"),
-    **dict.fromkeys([
-        "DefSet", "convolve",
-    ], "defsets"),
-    **dict.fromkeys([
-        "PrismaState", "IterConfig", "rapid_convergence_check",
-    ], "prisma"),
-    **dict.fromkeys([
-        "LieTrace", "Certificate", "lie_iterate_formal", "normalizer_series",
-        "certify", "threshold_T0", "lie_iterate_certified",
-    ], "normalform"),
-    **dict.fromkeys([
-        "OptResult", "QRow", "maximize_basic", "maximize_equalized",
-        "q_table", "true_radius", "radius_oracle_series",
-    ], "paramopt"),
-}
-
-__all__ = list(_SOURCE)
+# the modules that ``lienorm.<module>`` imports on first access
+_MODULES = ("power_series", "disc_norms", "defsets", "prisma", "normalform",
+            "paramopt")
 
 
 def num(x):
@@ -81,14 +54,9 @@ def fraction_str(x):
 
 
 def __getattr__(name):
-    if name in _SOURCE.values():
+    if name in _MODULES:
         # __import__, unlike importlib.import_module, shows in -X importtime
         __import__(__name__ + "." + name)
         return sys.modules[__name__ + "." + name]
-    if name in _SOURCE:
-        return getattr(__getattr__(_SOURCE[name]), name)
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
-
-def __dir__():
-    return sorted({*globals(), *__all__, *_SOURCE.values()})

@@ -453,7 +453,7 @@ def test_start_up_imports_neither_scipy_nor_numpy():
     src = os.path.dirname(os.path.dirname(paramopt.__file__))
     code = ("import sys, lienorm, lienorm.cli\n"
             "print('scipy' in sys.modules, 'numpy' in sys.modules)\n"
-            "lienorm.maximize_basic()\n"
+            "lienorm.paramopt.maximize_basic()\n"
             "print('scipy' in sys.modules, 'numpy' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

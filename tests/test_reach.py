@@ -5,8 +5,9 @@ The golden argvs and README command lines of ``test_cli`` run in process
 through ``cli.run`` under ``sys.setprofile``, which records each code
 object called.  A public name has no leading underscore, so dunders and
 private helpers are out.  The public functions, methods and properties
-of the library modules that no run calls must equal ``UNREACHED``: a new
-function that no command reaches fails, and so does a stale entry.
+of the package root and the library modules that no run calls must equal
+``UNREACHED``: a new function that no command reaches fails, and so does
+a stale entry.
 """
 
 import importlib
@@ -16,8 +17,8 @@ import sys
 from lienorm import cli
 from test_cli import GOLDEN, README_COMMANDS
 
-MODULES = ["power_series", "disc_norms", "defsets", "prisma", "normalform",
-           "paramopt", "cli"]
+MODULES = ["lienorm", "lienorm.power_series", "lienorm.disc_norms", "lienorm.defsets",
+           "lienorm.prisma", "lienorm.normalform", "lienorm.paramopt", "lienorm.cli"]
 
 CRITERION_2 = "criterion 2: the normalizer equals the compositional inverse series"
 CRITERION_9 = ("criterion 9 and the certified benchmark workload: the prisma "
@@ -68,7 +69,7 @@ def _public_code(module):
             member = member.fget if isinstance(member, property) else member
             member = inspect.unwrap(getattr(member, "__func__", member))
             if inspect.isfunction(member):
-                yield module.__name__.rsplit(".", 1)[1] + "." + qualname, member.__code__
+                yield module.__name__.rsplit(".", 1)[-1] + "." + qualname, member.__code__
 
 
 def test_every_public_function_is_reached_or_listed(capsys):
@@ -86,6 +87,5 @@ def test_every_public_function_is_reached_or_listed(capsys):
     finally:
         sys.setprofile(previous)
     capsys.readouterr()
-    public = dict(pair for name in MODULES
-                  for pair in _public_code(importlib.import_module("lienorm." + name)))
+    public = dict(pair for name in MODULES for pair in _public_code(importlib.import_module(name)))
     assert {name for name, code in public.items() if code not in called} == set(UNREACHED)
