@@ -30,12 +30,20 @@ class CertificateBreachError(RuntimeError):
 
 @dataclass(frozen=True)
 class LieRound:
-    """One round of the formal iteration."""
+    """One round (b_n, v_n, f_n) of the formal iteration.
+
+    The substitution sigma_n = e^{-v_n} z is computed on each read; the
+    normalizer does not need it (see normalizer_series).
+    """
 
     b: TruncSeries
     v: TruncSeries  # the derivation v(z) d/dz
     f: TruncSeries
-    substitution: TruncSeries  # image of z under e^{-v}
+
+    @property
+    def substitution(self) -> TruncSeries:
+        """Image of z under e^{-v}."""
+        return lie_exp(self.v, TruncSeries.x(self.v.trunc_order + 1))
 
     def to_dict(self) -> dict:
         return {
@@ -74,9 +82,10 @@ def default_trunc_order(steps: int) -> int:
 def lie_iterate_formal(a: TruncSeries, b0: TruncSeries, steps: int) -> LieTrace:
     """Run the recursion v_n = j(b_n), f_{n+1} = e^{-v_n} f_n exactly.
 
-    Round n of the result holds (b_n, v_n, f_n, e^{-v_n} z).  Requires
-    the normal form a = z^2/2 (the division map j inverts the action
-    v -> v(a) = z*v only there) and order(b0) >= 3.
+    Round n of the result holds (b_n, v_n, f_n); its substitution
+    e^{-v_n} z is computed when read.  Requires the normal form a = z^2/2
+    (the division map j inverts the action v -> v(a) = z*v only there)
+    and order(b0) >= 3.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -85,14 +94,12 @@ def lie_iterate_formal(a: TruncSeries, b0: TruncSeries, steps: int) -> LieTrace:
     o = b0.order
     if o is not math.inf and o < 3:
         raise ValueError("perturbation must vanish to order >= 3, got order %s" % o)
-    zvar = TruncSeries.x(max(a.trunc_order, b0.trunc_order))
     f = a + b0
     b = b0
     rounds = []
     for _ in range(steps + 1):
         v = j_map(b)
-        sigma = lie_exp(v, zvar)
-        rounds.append(LieRound(b, v, f, sigma))
+        rounds.append(LieRound(b, v, f))
         f = lie_exp(v, f)
         b = f - a
     return LieTrace(tuple(rounds))
@@ -102,14 +109,16 @@ def normalizer_series(trace: LieTrace) -> TruncSeries:
     """Image of z under ... e^{-v_1} e^{-v_0}: the coordinate change that
     carries f_0 to the normal form.
 
-    Composed with each new substitution on the inside, so the coefficient
-    of z^k is final once 2^n + 1 > k.
+    Starting from psi = z, each round applies its exponential:
+    psi_{n+1} = e^{-v_n} psi_n = psi_n o sigma_n, sigma_n = e^{-v_n} z.
+    Each sigma_n acts on the inside, so the coefficient of z^k is final
+    once 2^n + 1 > k.
     """
     if len(trace) == 0:
         raise ValueError("empty trace")
-    psi = None
+    psi = TruncSeries.x(trace[0].v.trunc_order + 1)
     for r in trace.rounds:
-        psi = r.substitution if psi is None else psi.compose(r.substitution)
+        psi = lie_exp(r.v, psi)
     return psi
 
 

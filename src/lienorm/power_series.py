@@ -20,8 +20,7 @@ integer vectors, skips their leading zeros, packs the rest of each into
 one Python int with slots wide enough for any coefficient of the product
 (Kronecker substitution), does one big-integer multiply and reads the
 slots back as integers, shifted past the skipped zeros; the caller holds
-the product of the two denominators.  Composition is a Taylor shift built
-on the same kernel (see :meth:`TruncSeries.compose`).
+the product of the two denominators.
 
 A derivation ``v(z) d/dz`` is given by its coefficient series ``v``.
 The module applies derivations to series, takes the terminating Lie
@@ -43,10 +42,6 @@ from typing import Iterable, Sequence, Union
 from . import fraction_str
 
 Scalar = Union[int, Fraction]
-
-
-class CompositionDomainError(ValueError):
-    """Inner series of a composition has a nonzero constant term."""
 
 
 class NotInvertibleError(ValueError):
@@ -232,63 +227,6 @@ class TruncSeries:
         a = self._num
         return _reduced([k * a[k] for k in range(1, len(a))] or [0], self._den,
                         max(self.trunc_order - 1, 0))
-
-    def compose(self, inner: "TruncSeries") -> "TruncSeries":
-        """self(inner), requiring inner(0) = 0.
-
-        A Taylor shift (Brent & Kung 1978).  With a = inner'(0) and
-        h = inner - a*z, which has order >= 2,
-
-            self(inner) = sum_k T_k(z) h^k,   T_k(z) = self^(k)(a*z) / k!;
-
-        for a near-identity inner (a = 1) this is
-        self(z + h) = sum_k self^(k)(z) h^k / k! with h = inner - z.  As
-        h^k = O(z^(k ord h)), only the terms with k*ord(h) <= n count,
-        about n/ord(h) of them, n the working order computed below.  The
-        sum is evaluated Horner-fashion in h, each partial sum only to the
-        order that its power of h leaves inside the window.
-
-        On integers: with self = F/df, a = p/q and h = H/dh, the
-        coefficients of T_k up to z^m are F[j+k] C(j+k, k) p^j q^(m-j)
-        over df q^m, and each partial sum is brought to the least common
-        denominator and reduced once.
-        """
-        if inner._num[0]:
-            raise CompositionDomainError(
-                "inner series has nonzero constant term %s" % inner[0]
-            )
-        og = inner._eff_order()
-        od = self.derivative()._eff_order()
-        n = min(
-            og * (self.trunc_order + 1),
-            od * og + inner.trunc_order + 1,
-        ) - 1
-        f = self._num + (0,) * (n - self.trunc_order)
-        df = self._den
-        a = (Fraction(inner._num[1], inner._den) if min(n, inner.trunc_order) >= 1
-             else Fraction(0))
-        p, q = a.numerator, a.denominator
-        h, dh = _canon([0, 0, *inner._num[2 : n + 1]], inner._den)
-        oh = next((k for k, c in enumerate(h) if c), n + 1)
-        ppow = [p**j for j in range(n + 1)]
-        qpow = [q**j for j in range(n + 1)]
-        acc = None
-        for k in range(n // oh, -1, -1):
-            m = n - k * oh  # T_k + h*acc is needed modulo z^(m+1)
-            t = [f[j + k] * math.comb(j + k, k) * ppow[j] * qpow[m - j]
-                 for j in range(m + 1)]
-            dt = df * qpow[m]
-            if acc is not None:
-                # T_k + h*acc over the lcm of the two denominators
-                hacc = _raw_mul(h[oh:], acc, m - oh)
-                dha = dh * dacc
-                g = math.gcd(dt, dha)
-                st, sh = dha // g, dt // g
-                t = [c * st for c in t[:oh]] + [
-                    c * st + e * sh for c, e in zip(t[oh:], hacc)]
-                dt *= st
-            acc, dacc = _canon(t, dt)
-        return _new(tuple(acc), dacc, n)
 
     def invert(self) -> "TruncSeries":
         """Compositional inverse g with self(g) = z, up to the truncation.

@@ -1,3 +1,4 @@
+import functools
 import math
 import pickle
 import random
@@ -5,7 +6,9 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from test_power_series import horner_compose
 
+from lienorm import normalform
 from lienorm.disc_norms import majorant_norm
 from lienorm.normalform import (
     Certificate,
@@ -19,7 +22,7 @@ from lienorm.normalform import (
     quadratic_normal_form,
     threshold_T0,
 )
-from lienorm.power_series import TruncSeries
+from lienorm.power_series import TruncSeries, lie_exp
 from lienorm.prisma import rapid_convergence_check
 
 E = math.e
@@ -27,6 +30,10 @@ E = math.e
 
 def series(coeffs, n=None):
     return TruncSeries([F(c) for c in coeffs], n)
+
+
+def exact(s):
+    return s._num, s._den, s.trunc_order
 
 
 def morse_certificate(t0=0.004):
@@ -109,7 +116,7 @@ class TestFormalIteration:
         # least the defining property holds
         psi = normalizer_series(tr)
         f0 = a + TruncSeries.monomial(4, order, F(1, 2))
-        back = f0.compose(psi)
+        back = horner_compose(f0, psi)
         stable = min(back.trunc_order, 2**2 + 2)
         assert back.truncate(stable) == a.truncate(stable)
 
@@ -145,9 +152,50 @@ class TestNormalizer:
             tr = lie_iterate_formal(a, TruncSeries.monomial(n_exp, order, beta), 3)
             psi = normalizer_series(tr)
             f0 = a + TruncSeries.monomial(n_exp, order, beta)
-            back = f0.compose(psi)
+            back = horner_compose(f0, psi)
             stable = min(back.trunc_order, 2**3 + 1)
             assert back.truncate(stable) == a.truncate(stable)
+
+    def test_equals_the_fold_of_substitutions(self):
+        # psi = sigma_0 o sigma_1 o ... by the composition reference, and
+        # each sigma_n as the iteration once built it, against z at the
+        # larger of the two input truncations
+        rng = random.Random(30)
+
+        def perturbation(n):
+            lo = rng.randint(3, 5)
+            return TruncSeries([0] * lo + [F(rng.randint(-9, 9), rng.randint(1, 9))
+                                           for _ in range(n + 1 - lo)], n)
+
+        cases = [(4, 20, perturbation(20)), (3, 14, perturbation(9)),
+                 (2, 9, perturbation(14)), (3, 12, TruncSeries.zero(12))]
+        cases += [(rng.randint(0, 4), rng.randint(4, 18), perturbation(rng.randint(4, 18)))
+                  for _ in range(12)]
+        for steps, na, b0 in cases:
+            tr = lie_iterate_formal(quadratic_normal_form(na), b0, steps)
+            subs = [r.substitution for r in tr.rounds]
+            zvar = TruncSeries.x(max(na, b0.trunc_order))
+            for r, sigma in zip(tr.rounds, subs):
+                assert exact(sigma) == exact(lie_exp(r.v, zvar))
+            fold = functools.reduce(horner_compose, subs)
+            assert exact(normalizer_series(tr)) == exact(fold)
+
+    def test_one_lie_exponential_per_round_and_use(self, monkeypatch):
+        calls = []
+
+        def counted(v, f):
+            calls.append(v)
+            return lie_exp(v, f)
+
+        monkeypatch.setattr(normalform, "lie_exp", counted)
+        tr = morse_trace(4)
+        assert len(calls) == len(tr)  # building a trace computes no substitution
+        calls.clear()
+        normalizer_series(tr)
+        assert len(calls) == len(tr)
+        calls.clear()
+        tr.to_dict()
+        assert len(calls) == len(tr)
 
 
 class TestCertificate:
