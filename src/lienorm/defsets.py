@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from . import fraction_str, num
 

@@ -16,11 +16,9 @@ turns a bound into a norm that is submultiplicative under composition.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-from .power_series import TruncSeries
 
 
 class DivergenceError(ValueError):

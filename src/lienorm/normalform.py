@@ -11,7 +11,7 @@ arithmetic and are reconciled by consistency tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import prisma
@@ -135,7 +135,6 @@ def _step_gaps(state, cfg, r):
     return r * (t - s) - x, prisma.invariant_bound(state, cfg) - x, s - cfg.lam * t
 
 
-@dataclass(frozen=True)
 class Certificate:
     """Convergence certificate for the perturbation beta * z^n of z^2/2.
 
@@ -150,30 +149,8 @@ class Certificate:
     otherwise); t0**2 past the float range reads as inf.
     """
 
-    t0: float
-    lam: float
-    mu: float
-    r: float
-    beta: float
-    n_exponent: int
-    s0: float = field(init=False)
-    rho0: float = field(init=False)
-    C: float = field(init=False)
-    R: float = field(init=False)
-    t_inf: float = field(init=False)
-    state0: prisma.PrismaState = field(init=False, repr=False)
-    cfg: prisma.IterConfig = field(init=False, repr=False)
-    cond_i: bool = field(init=False)
-    cond_ii: bool = field(init=False)
-    cond_iii: bool = field(init=False)
-    margin_i: float = field(init=False)
-    margin_ii: float = field(init=False)
-    margin_iii: float = field(init=False)
-
-    def __post_init__(self):
-        t0, lam, mu, r, beta, n = (
-            self.t0, self.lam, self.mu, self.r, self.beta, self.n_exponent,
-        )
+    def __init__(self, t0, lam, mu, r, beta, n_exponent):
+        n = n_exponent
         if not 0 < lam < 1 or not 0 < mu < 1:
             raise ValueError("need lambda, mu in (0, 1)")
         if not 0 < r < 1:
@@ -198,17 +175,16 @@ class Certificate:
         if not 0 < scale < math.inf:
             raise ValueError("mu = %r, t0 = %r are out of range: the margin scale "
                              "mu^(n-1)*t0 is %r in floats" % (mu, t0, scale))
-        s0 = mu * t0
-        state0 = prisma.PrismaState(t0, s0, E * beta * s0 ** (n - 1))
-        cfg = prisma.IterConfig(R=R, k=1, l=2, lam=lam)
-        i, ii, iii = _step_gaps(state0, cfg, r)
-        for name, value in dict(
-            s0=s0, rho0=prisma.rho(1, mu, lam), C=C, R=R,
-            t_inf=t_inf(lam, mu, t0), state0=state0, cfg=cfg,
-            cond_i=i > 0, cond_ii=ii > 0, cond_iii=iii > 0,
-            margin_i=i / scale, margin_ii=ii / scale, margin_iii=iii / t0,
-        ).items():
-            object.__setattr__(self, name, value)
+        self.t0, self.lam, self.mu, self.r, self.beta = t0, lam, mu, r, beta
+        self.n_exponent = n
+        self.s0 = s0 = mu * t0
+        self.rho0 = prisma.rho(1, mu, lam)
+        self.C, self.R, self.t_inf = C, R, t_inf(lam, mu, t0)
+        self.state0 = prisma.PrismaState(t0, s0, E * beta * s0 ** (n - 1))
+        self.cfg = prisma.IterConfig(R=R, k=1, l=2, lam=lam)
+        i, ii, iii = _step_gaps(self.state0, self.cfg, r)
+        self.cond_i, self.cond_ii, self.cond_iii = i > 0, ii > 0, iii > 0
+        self.margin_i, self.margin_ii, self.margin_iii = i / scale, ii / scale, iii / t0
 
     @property
     def passes(self) -> bool:
@@ -270,6 +246,8 @@ def lie_iterate_certified(cert: Certificate, steps: int):
         raise ValueError("steps must be >= 0")
     state, out = cert.state0, []
     for n in range(steps + 1):
+        if n:
+            state = prisma.step(state, cert.cfg)
         t, s, x = state.t, state.s, state.x
         tetrahedron, invariant, base = _step_gaps(state, cert.cfg, cert.r)
         if not tetrahedron > 0:
@@ -282,5 +260,4 @@ def lie_iterate_certified(cert: Certificate, steps: int):
                 n, "step %d: bound %g leaves the quadratic invariant set" % (n, x)
             )
         out.append((t, s, x))
-        state = prisma.step(state, cert.cfg)
     return out

@@ -36,12 +36,12 @@ series.  Other scalars follow the package's rule, :func:`lienorm.num`.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
 
 from . import fraction_str
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 class NotInvertibleError(ValueError):

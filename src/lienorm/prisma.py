@@ -24,9 +24,9 @@ alone decides whether the trajectory stays in the prisma.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from . import fraction_str, num
 

@@ -121,6 +121,17 @@ class TestCertify:
         assert doc["conditions"]["ii"]["holds"] is False
         assert doc["conditions"]["ii"]["margin"] < 0
 
+    def test_last_returned_state_is_the_last_one_computed(self, capsys):
+        # the float chain of t0 = 1/250 collapses onto t = s at state 27:
+        # 27 states pass, and asking for state 27 is an error
+        code, out, err = run_capture(capsys, "certify", "--t0", "1/250", "--steps", "26")
+        assert (code, err) == (0, "")
+        assert len(strict_json(out)["trajectory"]) == 27
+        code, out, err = run_capture(capsys, "certify", "--t0", "1/250", "--steps", "27")
+        assert (code, out) == (2, "")
+        assert err == ("error: prisma needs t > s > 0, got t=0.0013333333333333335"
+                       " s=0.0013333333333333335\n")
+
     def test_trajectory_attached(self, capsys):
         code, out, _ = run_capture(capsys, "certify", "--t0", "0.004",
                                    "--steps", "5")

@@ -369,6 +369,21 @@ class TestCertifiedIteration:
         with pytest.raises(ValueError, match="^steps must be >= 0$"):
             lie_iterate_certified(morse_certificate(), -1)
 
+    @pytest.mark.parametrize("steps", [0, 1, 5])
+    def test_computes_no_state_past_the_last_returned(self, monkeypatch, steps):
+        # state 0 is the certificate's; each later state is one prisma step
+        calls = []
+        step = normalform.prisma.step
+
+        def counted(state, cfg):
+            calls.append(state)
+            return step(state, cfg)
+
+        monkeypatch.setattr(normalform.prisma, "step", counted)
+        traj = lie_iterate_certified(morse_certificate(), steps)
+        assert len(traj) == steps + 1
+        assert len(calls) == steps
+
     def test_base_pairs_follow_the_contraction(self):
         cert = morse_certificate()
         traj = lie_iterate_certified(cert, 6)

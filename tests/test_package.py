@@ -10,12 +10,13 @@ SRC = os.path.dirname(os.path.dirname(lienorm.__file__))
 MODULES = ["power_series", "disc_norms", "defsets", "prisma", "normalform", "paramopt"]
 
 
-def loaded_by(code, *argv, package="lienorm"):
-    """The modules of package a fresh interpreter holds after running code."""
+def loaded_by(code, *argv, package="lienorm", flags=()):
+    """The modules of package a fresh interpreter, started with flags, holds
+    after running code."""
     code += ("\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == %r),"
              " file=sys.stderr)" % package)
     env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", "import sys\n" + code, *argv],
+    proc = subprocess.run([sys.executable, *flags, "-c", "import sys\n" + code, *argv],
                           env=env, capture_output=True, text=True, timeout=120)
     return set(proc.stderr.splitlines()[-1].split())
 
@@ -36,9 +37,10 @@ SUBCOMMANDS = [
     (["defset", "contains", "--set", "diagonal", "--t", "1", "--s", "1/2"], ["defsets"]),
     (["defset", "convolve", "--set", "diagonal", "--other", "closed-diagonal"],
      ["defsets"]),
-    (["norms", "lambda-p", "--grid", "2"], ["power_series", "disc_norms"]),
+    # disc_norms names TruncSeries only in annotations
+    (["norms", "lambda-p", "--grid", "2"], ["disc_norms"]),
     (["norms", "nagumo"], ["power_series", "disc_norms"]),
-    (["norms", "borel", "--x", "1/2"], ["power_series", "disc_norms"]),
+    (["norms", "borel", "--x", "1/2"], ["disc_norms"]),
     (["morse-trace", "--steps", "1"], ["power_series", "prisma", "normalform"]),
     (["normalize", "--steps", "1"], ["power_series", "prisma", "normalform"]),
     (["certify", "--t0", "1/250"], ["power_series", "prisma", "normalform"]),
@@ -52,6 +54,15 @@ SUBCOMMANDS = [
 def test_subcommand_loads_only_its_modules(argv, modules):
     got = loaded_by("import lienorm.cli\nlienorm.cli.run(sys.argv[1:])", *argv)
     assert got == {"lienorm", "lienorm.cli", *("lienorm." + m for m in modules)}
+
+
+# the library takes its annotation types from collections.abc; -S keeps a
+# site hook (which may import typing at start-up) out of the count
+@pytest.mark.parametrize("argv", [argv for argv, _ in SUBCOMMANDS],
+                         ids=[" ".join(argv) for argv, _ in SUBCOMMANDS])
+def test_subcommand_loads_no_typing(argv):
+    code = "import lienorm.cli\nlienorm.cli.run(sys.argv[1:])"
+    assert loaded_by(code, *argv, package="typing", flags=["-S"]) == set()
 
 
 # every subcommand in one interpreter: the optimizers' Newton step and the
