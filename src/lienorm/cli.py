@@ -216,9 +216,10 @@ def _cmd_prisma(args):
     too_long = 10**limit if limit else float("inf")
     traj = [state]
     for n in range(1, args.steps + 1):
-        traj.append(prisma.step(traj[-1], cfg))
+        state = prisma.step(state, cfg)
+        traj.append(state)
         if any(max(abs(v.numerator), v.denominator) >= too_long
-               for v in vars(traj[-1]).values() if v is not None):
+               for v in (state.t, state.s, state.x, state.alpha) if v is not None):
             raise ValueError("step %d has a value of more than %d digits, past Python's "
                              "int-to-str limit (sys.get_int_max_str_digits())" % (n, limit))
     doc = [st.to_dict() for st in traj]

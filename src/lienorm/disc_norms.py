@@ -16,8 +16,8 @@ turns a bound into a norm that is submultiplicative under composition.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -45,12 +45,8 @@ def _upper_float(x: Fraction) -> float:
     return f
 
 
-@dataclass(frozen=True)
-class MajorantValue:
-    """sum(|a_n| t^n), exact and as a certified float upper bound."""
-
-    value: float
-    exact: Fraction
+# sum(|a_n| t^n), exact and as a certified float upper bound
+MajorantValue = namedtuple("MajorantValue", "value exact")
 
 
 def _majorant_exact(f: TruncSeries, t) -> Fraction:
@@ -91,17 +87,15 @@ def nagumo_check(f: TruncSeries, k: int, t, s) -> bool:
     return lhs <= rhs
 
 
-@dataclass(frozen=True)
-class LocalOpBound:
+class LocalOpBound(namedtuple("LocalOpBound", "C k l")):
     """Certified statement |u_st| <= C / (s^k (t-s)^l) for 0 < s < t."""
 
-    C: float
-    k: float
-    l: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.C < 0 or self.k < 0 or self.l < 0:
+    def __new__(cls, C, k, l):
+        if C < 0 or k < 0 or l < 0:
             raise ValueError("C, k, l must all be >= 0")
+        return super().__new__(cls, C, k, l)
 
 
 def compose_local_bounds(b1: LocalOpBound, b2: LocalOpBound) -> LocalOpBound:

@@ -11,7 +11,7 @@ arithmetic and are reconciled by consistency tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import prisma
@@ -28,17 +28,15 @@ class CertificateBreachError(RuntimeError):
         self.step = step
 
 
-@dataclass(frozen=True)
-class LieRound:
-    """One round (b_n, v_n, f_n) of the formal iteration.
+class LieRound(namedtuple("LieRound", "b v f")):
+    """One round (b_n, v_n, f_n) of the formal iteration; v is the
+    derivation v(z) d/dz.
 
     The substitution sigma_n = e^{-v_n} z is computed on each read; the
     normalizer does not need it (see normalizer_series).
     """
 
-    b: TruncSeries
-    v: TruncSeries  # the derivation v(z) d/dz
-    f: TruncSeries
+    __slots__ = ()
 
     @property
     def substitution(self) -> TruncSeries:
@@ -54,9 +52,16 @@ class LieRound:
         }
 
 
-@dataclass(frozen=True)
 class LieTrace:
-    rounds: tuple[LieRound, ...]
+    __slots__ = ("rounds",)
+
+    def __init__(self, rounds):
+        self.rounds = rounds
+
+    def __eq__(self, other):
+        if type(other) is not LieTrace:
+            return NotImplemented
+        return self.rounds == other.rounds
 
     def __len__(self):
         return len(self.rounds)
@@ -145,8 +150,9 @@ class Certificate:
       ii)  x0 < prisma.invariant_bound       (invariant set)
       iii) s0 > lam*t0, i.e. mu > lam        (base iteration)
     Each margin is its gap over mu^(n-1)*t0 (i, ii) or t0 (iii).  R, C
-    and that margin scale must be positive finite floats (ValueError
-    otherwise); t0**2 past the float range reads as inf.
+    and that margin scale must be positive finite floats, and s0^(n-1)
+    a float (ValueError otherwise); t0**2 past the float range reads as
+    inf.
     """
 
     def __init__(self, t0, lam, mu, r, beta, n_exponent):
@@ -180,7 +186,12 @@ class Certificate:
         self.s0 = s0 = mu * t0
         self.rho0 = prisma.rho(1, mu, lam)
         self.C, self.R, self.t_inf = C, R, t_inf(lam, mu, t0)
-        self.state0 = prisma.PrismaState(t0, s0, E * beta * s0 ** (n - 1))
+        try:
+            x0 = E * beta * s0 ** (n - 1)
+        except OverflowError:
+            raise ValueError("t0 = %r, mu = %r, n = %r are out of range: s0^(n-1) = "
+                             "(mu*t0)^(n-1) is past the float range" % (t0, mu, n)) from None
+        self.state0 = prisma.PrismaState(t0, s0, x0)
         self.cfg = prisma.IterConfig(R=R, k=1, l=2, lam=lam)
         i, ii, iii = _step_gaps(self.state0, self.cfg, r)
         self.cond_i, self.cond_ii, self.cond_iii = i > 0, ii > 0, iii > 0

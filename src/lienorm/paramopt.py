@@ -34,20 +34,15 @@ import functools
 import math
 import operator
 import statistics
-from dataclasses import dataclass
+from collections import namedtuple
 
 E = math.e
 
 
-@dataclass(frozen=True)
-class OptResult:
-    lambda_opt: float
-    mu_opt: float
-    r_opt: float | None
-    objective: float  # e * t_inf
-    t_inf: float
-    iterations: int
-    grad_norm: float
+# objective is e * t_inf; r_opt is None for the basic mode, which fixes r
+class OptResult(namedtuple("OptResult", "lambda_opt mu_opt r_opt objective t_inf "
+                                        "iterations grad_norm")):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         d = {
@@ -63,14 +58,8 @@ class OptResult:
         return d
 
 
-@dataclass(frozen=True)
-class QRow:
-    n: int
-    lam: float
-    mu: float
-    Q: float
-    true_radius: float
-    certified_t_inf: float
+class QRow(namedtuple("QRow", "n lam mu Q true_radius certified_t_inf")):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -203,11 +192,9 @@ def q_value(n: int, lam, mu):
 # -- deterministic maximization ----------------------------------------
 
 
-@dataclass(frozen=True)
-class SimplexResult:
-    x: list[float]  # best vertex
-    nit: int        # iterations, counted from 1 as scipy does
-    nfev: int       # objective evaluations
+# the best vertex x, the iterations nit (counted from 1 as scipy does) and
+# the objective evaluations nfev
+SimplexResult = namedtuple("SimplexResult", "x nit nfev")
 
 
 class _OutOfEvaluations(Exception):

@@ -24,8 +24,8 @@ alone decides whether the trajectory stays in the prisma.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fraction_str, num
@@ -33,26 +33,31 @@ from . import fraction_str, num
 
 class LeavesDomainError(ValueError):
     """The base iteration leaves its domain: ``t_infinity`` from
-    s <= lambda*t, or ``step``, ``iterate`` and the closed forms at the
-    first s_i <= 0."""
+    s <= lambda*t, ``iterate`` and the closed forms at the first s_i <= 0,
+    and ``step`` also where rounding keeps the new s from falling below
+    the old one."""
 
 
-@dataclass(frozen=True)
 class PrismaState:
-    t: object
-    s: object
-    x: object
-    alpha: object | None = None
+    """A point (t, s, x) of the prisma, with an optional alpha.  Immutable
+    and compared by identity: _chain keys its memo on the start."""
 
-    def __post_init__(self):
-        for name in ("t", "s", "x", "alpha"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, num(value))
-        if not (self.t > self.s > 0):
-            raise ValueError("prisma needs t > s > 0, got t=%s s=%s" % (self.t, self.s))
-        if self.x < 0:
+    __slots__ = ("t", "s", "x", "alpha", "__weakref__")
+
+    def __init__(self, t, s, x, alpha=None):
+        t, s, x, alpha = (v if v is None else num(v) for v in (t, s, x, alpha))
+        if not (t > s > 0):
+            raise ValueError("prisma needs t > s > 0, got t=%s s=%s" % (t, s))
+        if x < 0:
             raise ValueError("x must be >= 0")
+        for name, value in zip(("t", "s", "x", "alpha"), (t, s, x, alpha)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to PrismaState.%s" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete PrismaState.%s" % name)
 
     def to_dict(self) -> dict:
         d = {"t": fraction_str(self.t), "s": fraction_str(self.s),
@@ -62,20 +67,17 @@ class PrismaState:
         return d
 
 
-@dataclass(frozen=True)
-class IterConfig:
-    R: object
-    k: object = 0
-    l: object = 1
-    lam: object = Fraction(1, 2)
+class IterConfig(namedtuple("IterConfig", "R k l lam")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 < self.lam < 1):
+    def __new__(cls, R, k=0, l=1, lam=Fraction(1, 2)):
+        if not (0 < lam < 1):
             raise ValueError("need 0 < lambda < 1")
-        if self.R <= 0:
+        if R <= 0:
             raise ValueError("need R > 0")
-        if self.k < 0 or self.l < 0:
+        if k < 0 or l < 0:
             raise ValueError("pole orders must be >= 0")
+        return super().__new__(cls, R, k, l, lam)
 
 
 def t_infinity(t0, s0, lam):
@@ -98,11 +100,12 @@ def rho(t, s, lam):
 def step(state: PrismaState, cfg: IterConfig) -> PrismaState:
     """(t,s,x) -> (s, s - lam*(t-s), x^2 / (R s^k (t-s)^l)), and alpha
     -> alpha + x when the state carries alpha; LeavesDomainError when the
-    new s is <= 0."""
+    new s is <= 0, or is not below the old s (a float step that rounds
+    onto the diagonal)."""
     t, s, x = state.t, state.s, state.x
     lam = cfg.lam
     s_next = s - lam * (t - s)
-    if not s_next > 0:
+    if not s > s_next > 0:
         raise LeavesDomainError("prisma needs t > s > 0, got t=%s s=%s" % (s, s_next))
     x2 = x**2 / (cfg.R * s**cfg.k * (t - s) ** cfg.l)
     alpha = None if state.alpha is None else x + state.alpha

@@ -521,6 +521,10 @@ class TestExitCodes:
          "conditions.i.margin is inf, which JSON cannot carry"),
         (["certify", "--t0", "1", "--mu", "1e-160", "--r", "1e-160", "--steps", "30"],
          "conditions.ii.margin is -inf, which JSON cannot carry"),
+        # the guards pass, but state 0's bound needs s0^11 = (1e100/2)^11
+        (["certify", "--t0", "1e100", "--n", "12"],
+         "t0 = 1e+100, mu = 0.5, n = 12 are out of range: s0^(n-1) = (mu*t0)^(n-1) "
+         "is past the float range"),
     ], ids=["contains-without-t", "convolve-without-other", "plot-grid-resolution-1",
             "exponent-above-order", "normalize-negative-exponent",
             "borel-bound-above-float-range",
@@ -531,7 +535,7 @@ class TestExitCodes:
             "certify-margin-scale-underflow", "threshold-mu-underflow",
             "threshold-T0-underflow", "certify-infinite-margin",
             "certify-x0-overflow", "certify-infinite-margin-large-t0",
-            "certify-infinite-margin-tiny-r"])
+            "certify-infinite-margin-tiny-r", "certify-state0-bound-overflow"])
     def test_missing_or_inconsistent_argument_is_exit_two(self, capsys, argv, message):
         code, out, err = run_capture(capsys, *argv)
         assert (code, out) == (2, "")

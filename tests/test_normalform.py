@@ -23,7 +23,7 @@ from lienorm.normalform import (
     threshold_T0,
 )
 from lienorm.power_series import TruncSeries, lie_exp
-from lienorm.prisma import rapid_convergence_check
+from lienorm.prisma import LeavesDomainError, rapid_convergence_check
 
 E = math.e
 
@@ -227,7 +227,10 @@ class TestCertificate:
         ((0.004, 0.0, 0.5, 0.5, 1.0, 3), r"need lambda, mu in \(0, 1\)"),
         ((0.004, 0.25, 1.0, 0.5, 1.0, 3), r"need lambda, mu in \(0, 1\)"),
         ((0.004, 0.25, 0.5, 0.5, -1.0, 3), "need beta >= 0"),
-    ], ids=["lambda-0", "mu-1", "negative-beta"])
+        # t0 and the margin scale are in range, but s0^11 = 5e1099 is not
+        ((1e100, 0.25, 0.5, 0.5, 1.0, 12), r"t0 = 1e\+100, mu = 0.5, n = 12 are out of "
+         r"range: s0\^\(n-1\) = \(mu\*t0\)\^\(n-1\) is past the float range"),
+    ], ids=["lambda-0", "mu-1", "negative-beta", "state0-bound-overflow"])
     def test_rejected_parameters(self, args, message):
         with pytest.raises(ValueError, match="^%s$" % message):
             certify(*args)
@@ -368,6 +371,14 @@ class TestCertifiedIteration:
     def test_rejects_negative_steps(self):
         with pytest.raises(ValueError, match="^steps must be >= 0$"):
             lie_iterate_certified(morse_certificate(), -1)
+
+    def test_float_chain_that_reaches_the_diagonal_leaves_the_prisma(self):
+        # t_n - s_n = lam^n (t0 - s0) shrinks below an ulp of t_n: at step 27
+        # rounding makes s_27 equal t_27
+        with pytest.raises(LeavesDomainError, match=r"^prisma needs t > s > 0, got "
+                           r"t=0.0013333333333333335 s=0.0013333333333333335$"):
+            lie_iterate_certified(morse_certificate(1 / 250), 27)
+        assert len(lie_iterate_certified(morse_certificate(1 / 250), 26)) == 27
 
     @pytest.mark.parametrize("steps", [0, 1, 5])
     def test_computes_no_state_past_the_last_returned(self, monkeypatch, steps):

@@ -10,11 +10,11 @@ SRC = os.path.dirname(os.path.dirname(lienorm.__file__))
 MODULES = ["power_series", "disc_norms", "defsets", "prisma", "normalform", "paramopt"]
 
 
-def loaded_by(code, *argv, package="lienorm", flags=()):
-    """The modules of package a fresh interpreter, started with flags, holds
-    after running code."""
-    code += ("\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == %r),"
-             " file=sys.stderr)" % package)
+def loaded_by(code, *argv, packages=("lienorm",), flags=()):
+    """The modules of packages a fresh interpreter, started with flags,
+    holds after running code."""
+    code += ("\nprint(*sorted(m for m in sys.modules if m.split('.')[0] in %r),"
+             " file=sys.stderr)" % (tuple(packages),))
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, *flags, "-c", "import sys\n" + code, *argv],
                           env=env, capture_output=True, text=True, timeout=120)
@@ -56,13 +56,16 @@ def test_subcommand_loads_only_its_modules(argv, modules):
     assert got == {"lienorm", "lienorm.cli", *("lienorm." + m for m in modules)}
 
 
-# the library takes its annotation types from collections.abc; -S keeps a
-# site hook (which may import typing at start-up) out of the count
+# the library takes its annotation types from collections.abc and builds
+# its records from collections.namedtuple and __slots__, so no command loads
+# typing, or dataclasses and the modules it imports; -S keeps a site hook
+# (which may import any of them at start-up) out of the count
 @pytest.mark.parametrize("argv", [argv for argv, _ in SUBCOMMANDS],
                          ids=[" ".join(argv) for argv, _ in SUBCOMMANDS])
 def test_subcommand_loads_no_typing(argv):
     code = "import lienorm.cli\nlienorm.cli.run(sys.argv[1:])"
-    assert loaded_by(code, *argv, package="typing", flags=["-S"]) == set()
+    unwanted = ("typing", "dataclasses", "inspect", "ast", "dis", "tokenize")
+    assert loaded_by(code, *argv, packages=unwanted, flags=["-S"]) == set()
 
 
 # every subcommand in one interpreter: the optimizers' Newton step and the
@@ -85,7 +88,7 @@ NUMPY_FREE = [
 def test_no_subcommand_imports_numpy():
     code = "import lienorm.cli\n" + "".join(
         "assert lienorm.cli.run(%r) in (0, 1)\n" % argv for argv in NUMPY_FREE)
-    assert loaded_by(code, package="numpy") == set()
+    assert loaded_by(code, packages=("numpy",)) == set()
 
 
 def test_optimizers_run_with_numpy_blocked():

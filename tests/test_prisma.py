@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import math
 import random
@@ -106,6 +105,12 @@ class TestStep:
     def test_documented_step(self):
         nxt = step(STATE, CFG)
         assert (nxt.t, nxt.s, nxt.x) == (F(3, 4), F(5, 8), F(1, 64))
+
+    def test_step_that_rounds_onto_the_diagonal_leaves_the_prisma(self):
+        # s - lam*(t - s) = 1 - 2^-54 rounds to s = 1.0
+        with pytest.raises(LeavesDomainError,
+                           match=r"^prisma needs t > s > 0, got t=1.0 s=1.0$"):
+            step(PrismaState(1.0 + 2**-52, 1.0, 0.0), IterConfig(R=1.0, lam=0.25))
 
     def test_zero_stays_zero(self):
         st0 = PrismaState(F(1), F(3, 4), F(0))
@@ -327,11 +332,15 @@ def _outcome(form, n, state, cfg):
     return type(value), repr(value) if isinstance(value, float) else value
 
 
+def _copies(state, cfg):
+    """New objects equal to the start, which share no chain with it."""
+    return PrismaState(state.t, state.s, state.x, state.alpha), IterConfig(*cfg)
+
+
 def _fresh_outcomes(state, cfg):
     """The outcome of every call _calls makes, each on its own copies of
     the start, which share no chain with it or with each other."""
-    return {(form, n): _outcome(form, n, dataclasses.replace(state),
-                                dataclasses.replace(cfg))
+    return {(form, n): _outcome(form, n, *_copies(state, cfg))
             for n in range(10) for form in (closed_form_xn, closed_form_xn_bound)}
 
 
@@ -427,8 +436,7 @@ class TestChain:
         starts = [(PrismaState(F(1), F(3, 4), F(1, 16)),
                    IterConfig(R=F(1), k=1, l=1, lam=F(1, 2))),
                   (PrismaState(1.0, 0.8, 0.01), IterConfig(R=1.5, k=2, l=1, lam=0.5))]
-        expected = [[_outcome(closed_form_xn, n, dataclasses.replace(state),
-                              dataclasses.replace(cfg)) for n in range(13)]
+        expected = [[_outcome(closed_form_xn, n, *_copies(state, cfg)) for n in range(13)]
                     for state, cfg in starts]
         results = [[], []]
 
@@ -664,6 +672,21 @@ class TestValidation:
     def test_rejected_state_or_config(self, build, message):
         with pytest.raises(ValueError, match="^%s$" % message):
             build()
+
+    # the closed forms' chain memo keys on the start and cfg objects
+    @pytest.mark.parametrize("record, name", [
+        *((PrismaState(F(1), F(1, 2), F(1, 8), F(0)), name)
+          for name in ("t", "s", "x", "alpha")),
+        *((IterConfig(R=1, k=1, l=2), name) for name in ("R", "k", "l", "lam")),
+    ], ids=["state-t", "state-s", "state-x", "state-alpha",
+            "cfg-R", "cfg-k", "cfg-l", "cfg-lam"])
+    def test_coordinates_are_read_only(self, record, name):
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, F(1, 4))
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) == before
 
     def test_int_coordinates_are_held_as_fractions(self):
         state = PrismaState(4, 3, 1, alpha=0)
